@@ -5,8 +5,16 @@ correct and count rewards it must earn, how many of its claims are
 verifiable, and bounds on how many of those must agree with the range
 table. Claims about HeavyAtomCount and RingCount are predicted exactly
 from the benchmark's own count of heavy-atom tokens and ring-closure
-pairs in the SMILES, so half of the records ("exact" records) pin the
-rationality reward to one value.
+pairs in the SMILES.
+
+The traffic mix of the responses is measured from the 12 bundled
+case-study transcripts (``measured_mix``): their tag patterns, claim
+counts, name styles, named descriptors, bare name blocks, polarities,
+answer agreement and think texts. A share of ``COVERAGE_SHARE`` records
+is drawn instead from ``coverage_mix``, which adds the variants the
+transcripts never show (duplicated tags, claim counts past the band,
+misspelled and unimplemented names). That share is not measured; it is
+there so the checks reach those paths.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "attrilens" / "data"
@@ -45,23 +54,27 @@ MISSPELLED = {
     "FormalCharge": ("Formal Chrage", "FormalCharges"),
     "NumNitrogenPlusOxygen": ("Nitrogen Plus Oxygn", "NumNitrogenPlusOxygens"),
 }
-UNKNOWN_NAMES = ("Xyzzy Index", "Solubility Score", "Brain Affinity")
 PREDICTED = ("HeavyAtomCount", "RingCount")
-
-TAG_MODES = ("ok", "omit-think", "omit-name", "omit-answer",
-             "dup-think", "dup-name", "dup-answer")
-TAG_WEIGHTS = (70, 5, 5, 5, 5, 5, 5)
-# claim counts 0..13: below, inside and past the 3..10 band
-COUNT_WEIGHTS = (2, 2, 3, 8, 8, 8, 8, 7, 6, 5, 4, 3, 2, 2)
+TAGS = ("think", "name", "answer")
 STYLES = ("canonical", "alias", "misspelled", "unimplemented", "unknown")
-STYLE_WEIGHTS = (35, 30, 20, 10, 5)
-THINK = (
-    "Weighing size, polarity and lipophilicity against the target.",
-    "The ring system and the polar groups decide most of this property; "
-    "the count of heavy atoms matters less than the surface area.",
-    "Short reasoning.",
-)
+# Share of records drawn from the coverage mix; not measured (see above).
+COVERAGE_SHARE = 0.1
+MAX_COVERAGE_CLAIMS = 13  # past the 3..10 band
 
+
+@dataclass(frozen=True)
+class Mix:
+    """What one response is drawn from; tuples are drawn uniformly."""
+
+    tags: tuple[tuple[int, ...], ...]  # think, name, answer block counts
+    counts: tuple[int, ...]            # claims in a name block
+    styles: dict[str, int]             # name style -> weight
+    descriptors: dict[str, int]        # named implemented descriptor -> weight
+    unknown: tuple[str, ...]           # names that resolve to nothing
+    bare: float                        # share of name blocks without polarity
+    promotes: float                    # share of polarities that promote
+    agree: float                       # share of answers equal to the label
+    thinks: tuple[str, ...]            # think-block texts
 
 @dataclass(frozen=True)
 class Truth:
@@ -151,6 +164,78 @@ def smiles_counts(smiles: str) -> tuple[int, int]:
     return heavy, closures // 2
 
 
+def _normalize(text: str) -> str:
+    return "".join(ch for ch in text.lower() if ch.isalnum())
+
+
+def _block(text: str, tag: str) -> str | None:
+    found = re.search(f"<{tag}>(.*?)</{tag}>", text, re.S)
+    return found.group(1).strip() if found else None
+
+
+def measured_mix() -> Mix:
+    """The mix of the 12 case-study transcripts.
+
+    A claim name is canonical or an alias when its letters and digits
+    match a registry name or alias, and unknown otherwise; none of the
+    transcripts' unknown names comes within the resolver's similarity
+    floor of a registry entry, so they hold no misspellings.
+    """
+    implemented, aliases = _registry()
+    exact = {_normalize(n): ("canonical", n) for n in implemented}
+    for name, names in aliases.items():
+        for alias in names:
+            exact.setdefault(_normalize(alias), ("alias", name))
+    tags, counts, thinks = [], [], []
+    styles, named = Counter(), Counter()
+    unknown: list[str] = []
+    bare = promotes = polar = agree = answered = 0
+    for case in case_studies():
+        text = case["response_text"]
+        tags.append(tuple(text.count(f"<{tag}>") for tag in TAGS))
+        thinks.append(_block(text, "think"))
+        answer = _block(text, "answer")
+        if answer is not None:
+            answered += 1
+            agree += (answer == "True") == case["label"]
+        block = _block(text, "name")
+        if block is None:
+            continue
+        claims = [c.partition(":") for c in block.split(",")]
+        counts.append(len(claims))
+        bare += all(not sep for _, sep, _ in claims)
+        for text_name, _, polarity in claims:
+            polar += polarity.strip() in ("promotes", "inhibits")
+            promotes += polarity.strip() == "promotes"
+            style, name = exact.get(_normalize(text_name), ("unknown", None))
+            if name is not None and not implemented[name]:
+                style = "unimplemented"
+            styles[style] += 1
+            if style == "unknown":
+                unknown.append(text_name.strip())
+            elif style != "unimplemented":
+                named[name] += 1
+    return Mix(tags=tuple(tags), counts=tuple(counts),
+               styles={s: styles[s] for s in STYLES},
+               descriptors=dict(sorted(named.items())),
+               unknown=tuple(sorted(set(unknown))),
+               bare=bare / len(counts), promotes=promotes / polar,
+               agree=agree / answered, thinks=tuple(thinks))
+
+
+def coverage_mix(measured: Mix) -> Mix:
+    """``measured`` with every tag, count, style and descriptor variant."""
+    implemented, _ = _registry()
+    tags = [(1, 1, 1)]
+    for i in range(len(TAGS)):
+        for n in (0, 2):
+            tags.append(tuple(n if j == i else 1 for j in range(len(TAGS))))
+    return replace(measured, tags=tuple(tags),
+                   counts=tuple(range(MAX_COVERAGE_CLAIMS + 1)),
+                   styles=dict.fromkeys(STYLES, 1),
+                   descriptors={n: 1 for n, ok in implemented.items() if ok})
+
+
 # ---------------------------------------------------------------------------
 # Responses
 # ---------------------------------------------------------------------------
@@ -163,30 +248,38 @@ class ResponseMaker:
         self.rng = rng
         self.implemented, self.aliases = _registry()
         self.table = _table()
-        self.impl_names = [n for n, ok in self.implemented.items() if ok]
+        self.measured = measured_mix()
+        self.coverage = coverage_mix(self.measured)
         self.unimpl_names = [n for n, ok in self.implemented.items() if not ok]
         self.style_counts = dict.fromkeys(STYLES + ("bare",), 0)
+        self.coverage_records = 0
 
-    def _name(self, style: str) -> tuple[str, str | None]:
+    def _name(self, style: str, mix: Mix) -> tuple[str, str | None]:
         """(text, canonical descriptor or None) for one claim."""
         rng = self.rng
         if style == "unknown":
-            return rng.choice(UNKNOWN_NAMES), None
+            return rng.choice(mix.unknown), None
         if style == "unimplemented":
             name = rng.choice(self.unimpl_names)
             return name, name
-        name = rng.choice(self.impl_names)
-        if style == "alias" and self.aliases[name]:
+        name = rng.choices(list(mix.descriptors),
+                           list(mix.descriptors.values()))[0]
+        if style == "alias":
             return rng.choice(self.aliases[name]).title(), name
         if style == "misspelled":
             return rng.choice(MISSPELLED[name]), name
         return name, name
 
-    def make(self, smiles: str, target: str, label: bool,
-             exact: bool) -> tuple[str, Truth]:
+    def make(self, smiles: str, target: str,
+             label: bool) -> tuple[str, Truth]:
         rng = self.rng
-        mode = rng.choices(TAG_MODES, TAG_WEIGHTS)[0]
-        n_claims = rng.choices(range(len(COUNT_WEIGHTS)), COUNT_WEIGHTS)[0]
+        mix = self.measured
+        if rng.random() < COVERAGE_SHARE:
+            mix = self.coverage
+            self.coverage_records += 1
+        tags = rng.choice(mix.tags)
+        n_claims = rng.choice(mix.counts)
+        bare = rng.random() < mix.bare
         heavy, rings = smiles_counts(smiles)
         values = {"HeavyAtomCount": heavy, "RingCount": rings}
         # a salt's counts come from its largest component, not the text
@@ -194,52 +287,40 @@ class ResponseMaker:
         claims = []
         verified = matched_lo = open_claims = 0
         for _ in range(n_claims):
-            style = rng.choices(STYLES, STYLE_WEIGHTS)[0]
-            text, name = self._name(style)
+            style = rng.choices(list(mix.styles), list(mix.styles.values()))[0]
+            text, name = self._name(style, mix)
             self.style_counts[style] += 1
-            row = self.table.get((target.lower(), name))
-            verifiable = bool(name and self.implemented[name] and row)
-            predicted = verifiable and predictable and name in PREDICTED
-            if verifiable and exact and not predicted:
-                # keep exact records exact: an unpredictable verdict goes bare
-                polarity = None
-            elif rng.random() < 0.1:
-                polarity = None
-            elif predicted:
-                advantageous = _inside(row, values[name])
-                agree = rng.random() < 0.7
-                polarity = "promotes" if advantageous == agree else "inhibits"
-                matched_lo += agree
-            else:
-                polarity = rng.choice(("promotes", "inhibits"))
-                open_claims += verifiable
-            if polarity is None:
+            if bare:
                 self.style_counts["bare"] += 1
                 claims.append(text)
+                continue
+            promotes = rng.random() < mix.promotes
+            polarity = "promotes" if promotes else "inhibits"
+            claims.append(f"{text}: {polarity}")
+            row = self.table.get((target.lower(), name))
+            if not (name and self.implemented[name] and row):
+                continue
+            verified += 1
+            if predictable and name in PREDICTED:
+                inside = _inside(row, values[name])
+                matched_lo += promotes == inside
             else:
-                verified += verifiable
-                claims.append(f"{text}: {polarity}")
-        answer = label if rng.random() < 0.6 else not label
+                open_claims += 1
+        answer = label if rng.random() < mix.agree else not label
         blocks = {
-            "think": f"<think> {rng.choice(THINK)} </think>",
+            "think": f"<think> {rng.choice(mix.thinks)} </think>",
             "name": f"<name> {', '.join(claims)} </name>",
             "answer": f"<answer> {'True' if answer else 'False'} </answer>",
         }
-        parts = []
-        for tag in ("think", "name", "answer"):
-            if mode == f"omit-{tag}":
-                continue
-            parts.append(blocks[tag])
-            if mode == f"dup-{tag}":
-                parts.append(blocks[tag])
-        has_name = mode != "omit-name"
+        parts = [blocks[tag] for tag, n in zip(TAGS, tags) for _ in range(n)]
+        has_name, has_answer = tags[1] > 0, tags[2] > 0
         n_att = n_claims if has_name else 0
         lo, hi = COUNT_BOUNDS
         if not has_name:
             verified = matched_lo = open_claims = 0
         truth = Truth(
-            format=1.0 if mode == "ok" else -2.0,
-            correct=2.0 if mode != "omit-answer" and answer == label else 0.0,
+            format=1.0 if tags == (1, 1, 1) else -2.0,
+            correct=2.0 if has_answer and answer == label else 0.0,
             count=0.0 if lo <= n_att <= hi else -1.0,
             n_att=n_att,
             verified=verified,
@@ -269,8 +350,7 @@ def _score_corpus(rng: random.Random, prefix: str, picks,
     for m, (smiles, target, label) in enumerate(picks):
         for g in range(group):
             rid = f"{prefix}-{m:04d}-{g:02d}"
-            text, truth[rid] = maker.make(smiles, target, label,
-                                          exact=rng.random() < 0.5)
+            text, truth[rid] = maker.make(smiles, target, label)
             records.append({"id": rid, "smiles": smiles,
                             "task": "classification", "target": target,
                             "label": label, "response_text": text})
@@ -281,8 +361,7 @@ def _score_corpus(rng: random.Random, prefix: str, picks,
         "molecules": len(picks),
         "group": group,
         "repeated_smiles_share": round(1 - distinct / len(records), 4),
-        "exact_records": sum(t.matched_lo == t.matched_hi
-                             for t in truth.values()),
+        "coverage_records": maker.coverage_records,
         "claim_names": maker.style_counts,
     }
     return ScoreCorpus(records, truth, stats)
