@@ -28,7 +28,7 @@ from ._data import data_path
 from .descriptors import Unimplemented, compute, registry, resolve_attribute
 from .molgraph import SmilesError, parse_smiles
 from .policysim import ConfigError, TrainConfig
-from .response import parse_response
+from .response import CLASSIFICATION, REGRESSION, parse_response
 from .rewards import (
     ParseError,
     TableMissing,
@@ -121,6 +121,30 @@ def _parse_count_bounds(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _record_error(rec) -> str | None:
+    """What is wrong with one ``score`` corpus record, or None."""
+    if not isinstance(rec, dict):
+        return "record is not a JSON object"
+    for key in ("smiles", "task", "target", "response_text", "label"):
+        if key not in rec:
+            return f"missing field {key!r}"
+    task, label = rec["task"], rec["label"]
+    if task not in (CLASSIFICATION, REGRESSION):
+        return f"task must be {CLASSIFICATION!r} or {REGRESSION!r}, got {task!r}"
+    if not isinstance(rec["smiles"], str):
+        return f"smiles must be a string, got {rec['smiles']!r}"
+    if not isinstance(rec["target"], str) or not rec["target"]:
+        return f"target must be a non-empty string, got {rec['target']!r}"
+    if not isinstance(rec["response_text"], str):
+        return f"response_text must be a string, got {rec['response_text']!r}"
+    if task == CLASSIFICATION and not isinstance(label, bool):
+        return f"classification label must be true/false, got {label!r}"
+    if task == REGRESSION and (isinstance(label, bool)
+                               or not isinstance(label, (int, float))):
+        return f"regression label must be a number, got {label!r}"
+    return None
+
+
 def cmd_score(args) -> int:
     started = time.time()
     try:
@@ -141,16 +165,15 @@ def cmd_score(args) -> int:
                 ) from exc
     if not records:
         raise InputError(f"{args.corpus}: EmptyDataset: no records")
+    for lineno, rec in records:
+        problem = _record_error(rec)
+        if problem is not None:
+            raise InputError(f"{args.corpus}:{lineno}: {problem}")
 
     out = open(args.out, "w") if args.out else sys.stdout
     sums = np.zeros(5)
     try:
         for lineno, rec in records:
-            for key in ("smiles", "task", "target", "response_text", "label"):
-                if key not in rec:
-                    raise InputError(
-                        f"{args.corpus}:{lineno}: missing field {key!r}"
-                    )
             try:
                 mol = parse_smiles(rec["smiles"])
             except SmilesError as exc:

@@ -62,7 +62,6 @@ class OptimConfig:
     clip_eps_high: float = 0.28
     kl_beta: float = 0.04
     algorithm: str = "grpo"
-    degenerate_eps: float = 1e-8
     use_sample_std: bool = False
 
     def __post_init__(self) -> None:
@@ -76,8 +75,6 @@ class OptimConfig:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
         if self.kl_beta < 0.0:
             raise ValueError("kl_beta must be >= 0")
-        if self.degenerate_eps <= 0.0:
-            raise ValueError("degenerate_eps must be > 0")
 
     @property
     def clip_band(self) -> tuple[float, float]:
@@ -120,34 +117,34 @@ class TrajectoryGroup:
         return np.array([r.logp_ref for r in self.responses], dtype=float)
 
 
-def compute_advantages(
-    rewards,
-    degenerate_eps: float = 1e-8,
-    use_sample_std: bool = False,
-) -> np.ndarray:
+def _is_degenerate(rewards: np.ndarray) -> bool:
+    """A group carries no ranking signal iff all its rewards are equal."""
+    return bool(rewards.max() == rewards.min())
+
+
+def compute_advantages(rewards, use_sample_std: bool = False) -> np.ndarray:
     """Normalize group rewards to zero-mean, unit-std advantages.
 
     Uses the population standard deviation (``ddof=0``) unless
-    ``use_sample_std`` asks for the Bessel-corrected one. A group whose
-    std falls below ``degenerate_eps`` carries no ranking signal; its
-    advantages are all zero rather than a division blow-up.
+    ``use_sample_std`` asks for the Bessel-corrected one. A degenerate
+    group's advantages are all zero rather than a division blow-up.
     """
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise GroupTooSmall(
             f"advantage normalization needs >= 2 rewards, got shape {r.shape}"
         )
-    std = r.std(ddof=1 if use_sample_std else 0)
-    if std < degenerate_eps:
+    if _is_degenerate(r):
         return np.zeros_like(r)
-    return (r - r.mean()) / std
+    # Scaling by a power of two is exact, so it changes no rounding; it
+    # only keeps the squares of tiny spreads from underflowing to 0.
+    r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
+    return (r - r.mean()) / r.std(ddof=1 if use_sample_std else 0)
 
 
 def fill_advantages(group: TrajectoryGroup, cfg: OptimConfig) -> np.ndarray:
     """Compute and store advantages on ``group``; returns them."""
-    adv = compute_advantages(
-        group.rewards(), cfg.degenerate_eps, cfg.use_sample_std
-    )
+    adv = compute_advantages(group.rewards(), cfg.use_sample_std)
     group.advantages = [float(a) for a in adv]
     return adv
 
@@ -239,19 +236,13 @@ def grpo_gradient(
     return grad / adv.size
 
 
-def dapo_filter(
-    groups: list[TrajectoryGroup], degenerate_eps: float = 1e-8
-) -> list[TrajectoryGroup]:
+def dapo_filter(groups: list[TrajectoryGroup]) -> list[TrajectoryGroup]:
     """Drop groups whose rewards carry no ranking signal.
 
-    Dynamic sampling keeps only groups with reward std at or above
-    ``degenerate_eps``; all-identical groups (every response right, or
-    every response wrong) are returned to the sampler instead of pushing
-    zero advantages through the update.
+    Dynamic sampling keeps only groups of two or more responses that are
+    not degenerate; all-identical groups (every response right, or every
+    response wrong) are returned to the sampler instead of pushing zero
+    advantages through the update.
     """
-    kept = []
-    for g in groups:
-        r = g.rewards()
-        if r.size >= 2 and r.std(ddof=0) >= degenerate_eps:
-            kept.append(g)
-    return kept
+    return [g for g in groups
+            if len(g.responses) >= 2 and not _is_degenerate(g.rewards())]

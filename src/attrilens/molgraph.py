@@ -362,7 +362,7 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError("no atoms parsed")
 
     mol = Molecule(atoms, bonds, source=text)
-    _finalize(mol, trust_h_counts=False)
+    _finalize(mol)
     return mol
 
 
@@ -399,10 +399,7 @@ def _parse_bracket(body: str, pos: int) -> Atom:
             raise UnknownElement(f"aromatic form of {symbol!r} not supported")
     else:
         raise SmilesError(f"bad bracket atom {body!r}")
-    if symbol == "H":
-        if isotope is None and body[:1].isdigit():
-            pass
-    elif symbol not in ATOMIC_MASSES:
+    if symbol not in ATOMIC_MASSES:
         raise UnknownElement(f"unknown element {symbol!r}")
 
     chirality = None
@@ -466,12 +463,11 @@ def _parse_bracket(body: str, pos: int) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def _finalize(mol: Molecule, trust_h_counts: bool) -> None:
+def _finalize(mol: Molecule) -> None:
     """Derive everything beyond raw atoms/bonds.
 
-    ``trust_h_counts`` is used when rebuilding subgraphs whose atoms already
-    carry correct bracket hydrogen counts; implicit hydrogens of bare atoms
-    are always rederived.
+    Bracket atoms keep their declared hydrogen counts; implicit hydrogens
+    of bare atoms are always rederived.
     """
     _build_adjacency(mol)
     _label_components(mol)
@@ -778,7 +774,7 @@ def from_graph(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Molecu
     their declared counts.
     """
     mol = Molecule(atoms, bonds, source=source)
-    _finalize(mol, trust_h_counts=True)
+    _finalize(mol)
     return mol
 
 
@@ -792,13 +788,8 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
     bonds = []
     for bond in mol.bonds:
         if bond.a in index_map and bond.b in index_map:
-            order = "double" if bond.order == "aromatic" else bond.order
-            # Aromatic orders are restated below by reperception; starting
-            # from doubles would corrupt pi counting, so keep aromatic bonds
-            # aromatic when both endpoints stay aromatic.
-            if bond.order == "aromatic":
-                order = "aromatic"
-            bonds.append(Bond(index_map[bond.a], index_map[bond.b], order, bond.stereo))
+            bonds.append(Bond(index_map[bond.a], index_map[bond.b], bond.order,
+                              bond.stereo))
     return from_graph(atoms, bonds, source=mol.source)
 
 
@@ -985,7 +976,8 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
                     tree_children.setdefault(node, []).append((j, bi))
                     stack.append((j, bi))
 
-    # The DFS above fixed the spanning structure; emit it recursively.
+    # The DFS above fixed the spanning structure; emit it in preorder from
+    # an explicit stack of atoms (ints) and literal text (strs).
     emitted = [False] * len(mol.atoms)
     closures_at: dict[int, list[int]] = {}
     for bi in closure_bonds:
@@ -993,7 +985,7 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
         closures_at.setdefault(mol.bonds[bi].b, []).append(bi)
     open_closures: dict[int, int] = {}  # bond index -> label
 
-    def emit(node: int) -> None:
+    def emit_atom(node: int) -> None:
         atom = mol.atoms[node]
         pieces.append(atom_token(atom))
         emitted[node] = True
@@ -1011,25 +1003,28 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
                 other = bond.other(node)
                 pieces.append(bond_char(bond, atom.aromatic, mol.atoms[other].aromatic))
                 pieces.append(str(label) if label < 10 else f"%{label:02d}")
-        children = tree_children.get(node, [])
-        for k, (child, bi) in enumerate(children):
-            bond = mol.bonds[bi]
-            bc = bond_char(bond, atom.aromatic, mol.atoms[child].aromatic)
-            if k < len(children) - 1:
-                pieces.append("(")
-                pieces.append(bc)
-                emit(child)
-                pieces.append(")")
-            else:
-                pieces.append(bc)
-                emit(child)
 
-    first = True
     for start in order:
         if emitted[start]:
             continue
-        if not first:
+        if pieces:
             pieces.append(".")
-        first = False
-        emit(start)
+        stack: list[int | str] = [start]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            emit_atom(item)
+            atom = mol.atoms[item]
+            children = tree_children.get(item, [])
+            todo: list[int | str] = []
+            for k, (child, bi) in enumerate(children):
+                bc = bond_char(mol.bonds[bi], atom.aromatic,
+                               mol.atoms[child].aromatic)
+                if k < len(children) - 1:
+                    todo += ["(" + bc, child, ")"]
+                else:
+                    todo += [bc, child]
+            stack.extend(reversed(todo))
     return "".join(pieces)

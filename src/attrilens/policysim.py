@@ -117,6 +117,16 @@ class PolicyParams:
             self.logits_answer.copy(),
         )
 
+    def zeros_like(self) -> "PolicyParams":
+        """All-zero parameters of the same shapes (score and update buffers)."""
+        return PolicyParams(
+            0.0,
+            np.zeros_like(self.logits_count),
+            np.zeros_like(self.logits_attr),
+            np.zeros_like(self.logits_polarity),
+            np.zeros_like(self.logits_answer),
+        )
+
     def add_scaled(self, other: "PolicyParams", scale: float) -> None:
         """In-place ``self += scale * other`` (used by the ascent step)."""
         self.logit_format += scale * other.logit_format
@@ -156,6 +166,7 @@ class SampledResponse:
     text: str
     logp: float
     action: Action
+    score: PolicyParams = field(compare=False, repr=False)
 
 
 def _sigmoid(x: float) -> float:
@@ -172,81 +183,98 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _walk(policy: PolicyParams, query_index: int, T: float, pick):
+    """Visit every factor of the policy once, in sampling order.
+
+    ``pick(kind, p)`` chooses each factor's outcome: a bool for
+    ``kind="bit"`` (``p`` is the probability of True), an index below ``p``
+    for the equiprobable ``kind="uniform"``, and an index into the
+    probability vector ``p`` for ``kind="categorical"``. Returns the
+    action, its exact log-probability and its score -- the gradient of
+    ``logp`` with respect to every logit, in the standard forms at
+    temperature ``T``: ``(b - p)/T`` for a Bernoulli bit and
+    ``(onehot - p)/T`` for each categorical draw, with already-drawn
+    attributes masked out of later draws. The uniform choice of which tag
+    pair to omit contributes ``log(1/3)`` to ``logp`` and nothing to the
+    score.
+    """
+    score = policy.zeros_like()
+    logp = 0.0
+
+    # format bit, and the omitted tag pair when it comes up 0
+    p_ok = _sigmoid(policy.logit_format / T)
+    format_ok = bool(pick("bit", p_ok))
+    logp += np.log(p_ok if format_ok else 1.0 - p_ok)
+    score.logit_format = ((1.0 if format_ok else 0.0) - p_ok) / T
+    omit = None
+    if not format_ok:
+        omit = _TAG_NAMES[pick("uniform", len(_TAG_NAMES))]
+        logp += np.log(1.0 / len(_TAG_NAMES))
+
+    # attribute count
+    p_count = _softmax(policy.logits_count / T)
+    count = pick("categorical", p_count)
+    logp += np.log(p_count[count])
+    score.logits_count = -p_count / T
+    score.logits_count[count] += 1.0 / T
+
+    # ordered without-replacement attribute draws
+    attrs = []
+    mask = np.zeros(policy.n_attrs, dtype=bool)
+    for _ in range(count):
+        p_attr = _softmax(np.where(mask, -np.inf, policy.logits_attr / T))
+        idx = pick("categorical", p_attr)
+        logp += np.log(p_attr[idx])
+        live = ~mask
+        score.logits_attr[live] -= p_attr[live] / T
+        score.logits_attr[idx] += 1.0 / T
+        mask[idx] = True
+        attrs.append(idx)
+
+    # per-attribute polarity bits
+    polarities = []
+    for idx in attrs:
+        p_pro = _sigmoid(policy.logits_polarity[idx] / T)
+        bit = int(pick("bit", p_pro))
+        logp += np.log(p_pro if bit else 1.0 - p_pro)
+        score.logits_polarity[idx] += (bit - p_pro) / T
+        polarities.append(bit)
+
+    # per-query answer bit
+    p_true = _sigmoid(policy.logits_answer[query_index] / T)
+    answer = bool(pick("bit", p_true))
+    logp += np.log(p_true if answer else 1.0 - p_true)
+    score.logits_answer[query_index] = ((1.0 if answer else 0.0) - p_true) / T
+
+    action = Action(format_ok, omit, count, tuple(attrs), tuple(polarities),
+                    answer)
+    return action, float(logp), score
+
+
 def action_logp(
     policy: PolicyParams,
     action: Action,
     query_index: int,
     temperature: float,
-    want_grad: bool = False,
-) -> tuple[float, PolicyParams | None]:
-    """Exact factorized log-probability of ``action`` (and its score).
-
-    The score -- the gradient of ``logp`` with respect to every logit --
-    uses the standard categorical/Bernoulli forms at temperature ``T``:
-    ``(b - p)/T`` for a Bernoulli bit and ``(onehot - p)/T`` for each
-    categorical draw, with already-drawn attributes masked out of later
-    draws. The uniform choice of which tag pair to omit contributes
-    ``log(1/3)`` to ``logp`` and nothing to the gradient.
-    """
-    T = temperature
-    grad = (
-        PolicyParams(
-            0.0,
-            np.zeros_like(policy.logits_count),
-            np.zeros_like(policy.logits_attr),
-            np.zeros_like(policy.logits_polarity),
-            np.zeros_like(policy.logits_answer),
+) -> tuple[float, PolicyParams]:
+    """Exact factorized log-probability of ``action`` and its score."""
+    outcomes = iter((
+        action.format_ok,
+        *(() if action.format_ok else (_TAG_NAMES.index(action.omit),)),
+        action.count,
+        *action.attrs,
+        *action.polarities,
+        action.answer,
+    ))
+    try:
+        walked, logp, score = _walk(
+            policy, query_index, temperature, lambda kind, p: next(outcomes)
         )
-        if want_grad
-        else None
-    )
-    logp = 0.0
-
-    # format bit
-    p_ok = _sigmoid(policy.logit_format / T)
-    b = 1.0 if action.format_ok else 0.0
-    logp += np.log(p_ok if action.format_ok else 1.0 - p_ok)
-    if grad is not None:
-        grad.logit_format = (b - p_ok) / T
-    if not action.format_ok:
-        logp += np.log(1.0 / len(_TAG_NAMES))
-
-    # attribute count
-    p_count = _softmax(policy.logits_count / T)
-    logp += np.log(p_count[action.count])
-    if grad is not None:
-        grad.logits_count = -p_count / T
-        grad.logits_count[action.count] += 1.0 / T
-
-    # ordered without-replacement attribute draws
-    mask = np.zeros(policy.n_attrs, dtype=bool)
-    for idx in action.attrs:
-        scaled = policy.logits_attr / T
-        scaled = np.where(mask, -np.inf, scaled)
-        p_attr = _softmax(scaled)
-        logp += np.log(p_attr[idx])
-        if grad is not None:
-            live = ~mask
-            grad.logits_attr[live] -= p_attr[live] / T
-            grad.logits_attr[idx] += 1.0 / T
-        mask[idx] = True
-
-    # per-attribute polarity bits
-    for idx, bit in zip(action.attrs, action.polarities):
-        p_pro = _sigmoid(policy.logits_polarity[idx] / T)
-        logp += np.log(p_pro if bit else 1.0 - p_pro)
-        if grad is not None:
-            grad.logits_polarity[idx] += (bit - p_pro) / T
-
-    # per-query answer bit
-    p_true = _sigmoid(policy.logits_answer[query_index] / T)
-    logp += np.log(p_true if action.answer else 1.0 - p_true)
-    if grad is not None:
-        grad.logits_answer[query_index] = (
-            (1.0 if action.answer else 0.0) - p_true
-        ) / T
-
-    return float(logp), grad
+    except StopIteration:
+        walked = None
+    if walked != action:
+        raise ValueError(f"inconsistent action {action}")
+    return logp, score
 
 
 def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
@@ -266,7 +294,7 @@ def sample_response(
     query_index: int = 0,
     temperature: float = 0.6,
 ) -> SampledResponse:
-    """Draw one response; ``logp`` is exact under the factorization.
+    """Draw one response; ``logp`` and ``score`` are exact.
 
     The full action (count, attributes, polarities, answer) is always
     sampled and paid for in ``logp``; when the format bit comes up 0 one
@@ -275,29 +303,17 @@ def sample_response(
     """
     if prompt.task != CLASSIFICATION:
         raise ConfigError("the simulator supports classification prompts only")
-    T = temperature
-    fmt = rng.random() < _sigmoid(policy.logit_format / T)
-    omit = None if fmt else _TAG_NAMES[rng.integers(len(_TAG_NAMES))]
-    count = int(rng.choice(policy.max_count + 1,
-                           p=_softmax(policy.logits_count / T)))
-    attrs: list[int] = []
-    mask = np.zeros(policy.n_attrs, dtype=bool)
-    for _ in range(count):
-        scaled = np.where(mask, -np.inf, policy.logits_attr / T)
-        idx = int(rng.choice(policy.n_attrs, p=_softmax(scaled)))
-        attrs.append(idx)
-        mask[idx] = True
-    polarities = tuple(
-        int(rng.random() < _sigmoid(policy.logits_polarity[i] / T))
-        for i in attrs
-    )
-    answer = bool(
-        rng.random() < _sigmoid(policy.logits_answer[query_index] / T)
-    )
-    action = Action(fmt, omit, count, tuple(attrs), polarities, answer)
-    logp, _ = action_logp(policy, action, query_index, T)
+
+    def draw(kind, p):
+        if kind == "bit":
+            return rng.random() < p
+        if kind == "uniform":
+            return int(rng.integers(p))
+        return int(rng.choice(p.size, p=p))
+
+    action, logp, score = _walk(policy, query_index, temperature, draw)
     vocab = tuple(implemented_names())[: policy.n_attrs]
-    return SampledResponse(_render_action(action, vocab), logp, action)
+    return SampledResponse(_render_action(action, vocab), logp, action, score)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +465,13 @@ def train(
             "policy answer head size does not match dataset length"
         )
     reference = policy.copy()
-    vocab = tuple(implemented_names())[: policy.n_attrs]
     curves = TrainingCurves()
 
     for step in range(1, config.steps + 1):
         sums = np.zeros(6)  # format, correct, count, rational, total, obj
         n_samples = 0
         n_groups_kept = 0
-        grad_acc = PolicyParams(
-            0.0,
-            np.zeros_like(policy.logits_count),
-            np.zeros_like(policy.logits_attr),
-            np.zeros_like(policy.logits_polarity),
-            np.zeros_like(policy.logits_answer),
-        )
+        grad_acc = policy.zeros_like()
         for qid, query in enumerate(dataset):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, step, qid])
@@ -472,8 +481,6 @@ def train(
                 for _ in range(config.group_size)
             ]
             records = []
-            grads = []
-            breakdowns = []
             for s in samples:
                 parsed = parse_response(s.text, task=query.prompt.task)
                 bd = total_reward(
@@ -485,29 +492,23 @@ def train(
                     count_bounds=config.count_bounds,
                     task=query.prompt.task,
                 )
-                breakdowns.append(bd)
+                sums[:5] += (bd.format, bd.correct, bd.count,
+                             bd.rational, bd.total)
                 logp_ref, _ = action_logp(reference, s.action, qid, T)
                 records.append(
                     grpo.ResponseRecord(s.text, bd.total, s.logp, logp_ref)
                 )
-                _, g = action_logp(policy, s.action, qid, T, want_grad=True)
-                grads.append(g)
-            for bd in breakdowns:
-                sums[:5] += (bd.format, bd.correct, bd.count,
-                             bd.rational, bd.total)
-            n_samples += len(breakdowns)
+            n_samples += len(samples)
 
             group = grpo.TrajectoryGroup(f"q{qid}", records)
-            adv = grpo.fill_advantages(group, cfg)
-            if config.algorithm == "dapo" and not grpo.dapo_filter(
-                [group], cfg.degenerate_eps
-            ):
+            grpo.fill_advantages(group, cfg)
+            if config.algorithm == "dapo" and not grpo.dapo_filter([group]):
                 continue
             logp_new = group.logp_old()  # on-policy single update
             sums[5] += grpo.grpo_objective(group, logp_new, cfg)
             per_sample = grpo.grpo_gradient(group, logp_new, cfg)
-            for coeff, g in zip(per_sample, grads):
-                grad_acc.add_scaled(g, float(coeff))
+            for coeff, s in zip(per_sample, samples):
+                grad_acc.add_scaled(s.score, float(coeff))
             n_groups_kept += 1
 
         if n_groups_kept:

@@ -35,7 +35,6 @@ __all__ = [
     "render_response",
     "parse_response",
     "parse_claims",
-    "claims_vector",
     "PROMPT_TEMPLATE",
 ]
 
@@ -131,12 +130,6 @@ def parse_claims(content: str) -> tuple[tuple[AttributeClaim, ...] | None, bool]
         else:
             return None, False
     return tuple(claims), True
-
-
-def claims_vector(claims) -> list[int]:
-    """Polarities as bits (promotes=1, inhibits=0), skipping bare names."""
-    return [1 if c.polarity == "promotes" else 0
-            for c in claims if c.polarity is not None]
 
 
 # ---------------------------------------------------------------------------

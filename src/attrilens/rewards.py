@@ -222,32 +222,25 @@ def _rational_detail(parsed: ParsedResponse, mol: Molecule, target: str,
                            f"target {target!r}")
     verified = 0
     matched = 0
-    debug = log.isEnabledFor(logging.DEBUG)
     for claim in parsed.claims or ():
+        ident = None
         if claim.polarity is None:
-            if debug:
-                log.debug("claim %r: no polarity, unverifiable", claim.raw_name)
+            skip = "no polarity"
+        elif (ident := descriptors.resolve_attribute(claim.raw_name)) is None:
+            skip = "unresolved"
+        elif not ident.implemented:
+            skip = "unimplemented"
+        elif (verdict := table.advantageous(
+                target, ident.name,
+                descriptors.compute(mol, ident).value)) is None:
+            skip = "no table entry"
+        else:
+            verified += 1
+            if (claim.polarity == "promotes") == verdict:
+                matched += 1
             continue
-        ident = descriptors.resolve_attribute(claim.raw_name)
-        if ident is None:
-            if debug:
-                log.debug("claim %r: no registry match", claim.raw_name)
-            continue
-        if not ident.implemented:
-            if debug:
-                log.debug("claim %r: %s not implemented", claim.raw_name, ident.name)
-            continue
-        verdict = table.advantageous(target, ident.name,
-                                     descriptors.compute(mol, ident).value)
-        if verdict is None:
-            if debug:
-                log.debug("claim %r: no %s entry for target %s",
-                          claim.raw_name, ident.name, target)
-            continue
-        verified += 1
-        stated = claim.polarity == "promotes"
-        if stated == verdict:
-            matched += 1
+        log.debug("claim %r: %s (descriptor %s, target %s), unverifiable",
+                  claim.raw_name, skip, ident and ident.name, target)
     value = matched / verified if verified else 0.0
     return value, verified, matched
 

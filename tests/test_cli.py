@@ -79,6 +79,40 @@ def test_score_empty_corpus_exit_2(capsys, tmp_path):
     assert code == 2 and "EmptyDataset" in err
 
 
+_GOOD_RECORD = {
+    "id": "x", "smiles": "CCO", "task": "classification",
+    "target": "BBBP", "label": True,
+    "response_text": "<think> t </think>\n<name> MolWt: promotes "
+                     "</name>\n<answer> True </answer>",
+}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"task": "foo"},
+        {"target": None},
+        {"target": ""},
+        {"response_text": None},
+        {"label": "true"},
+        {"task": "regression", "label": True},
+        {"task": "regression", "label": "1.5"},
+    ],
+    ids=["task-unknown", "target-null", "target-empty", "response-null",
+         "classification-label-str", "regression-label-bool",
+         "regression-label-str"],
+)
+def test_score_bad_record_exit_2_names_line(capsys, tmp_path, override):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, **override}) + "\n")
+    out_file = tmp_path / "scores.jsonl"
+    code, _, err = run(capsys, "score", str(corpus), "--out", str(out_file))
+    assert code == 2
+    assert f"{corpus}:2:" in err
+    assert not out_file.exists()
+
+
 def test_score_unknown_table_exit_3(capsys):
     code, _, _ = run(
         capsys, "score", str(data_path("case_studies.jsonl")),

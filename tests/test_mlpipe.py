@@ -1,5 +1,7 @@
 """CSV loading, scaffold splitting, forest training, and AUC scoring."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,8 +295,13 @@ def test_auc_invariant_under_monotone_transform(scores, labels):
         )
     )
     base = auc_score(scores, lab)
-    squashed = auc_score([np.tanh(s / 50.0) for s in scores], lab)
-    assert base == pytest.approx(squashed, abs=1e-12)
+    # Slope 1 on [-1, 1] and 8 outside: every product by 8 is exact, so
+    # the map is strictly increasing on float64 itself, not only on the
+    # reals (tanh(s/50) sends 100 and 99.99999999999999 to one float).
+    mapped = [8.0 * s if abs(s) > 1.0 else s for s in scores]
+    for (a, fa), (b, fb) in itertools.combinations(zip(scores, mapped), 2):
+        assert np.sign(fa - fb) == np.sign(a - b)
+    assert base == pytest.approx(auc_score(mapped, lab), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,12 @@ def test_write_parse_roundtrip(smiles):
     assert molecule_key(parse_smiles(out)) == molecule_key(mol)
 
 
+def test_write_smiles_long_chain_without_recursion_limit():
+    mol = parse_smiles("C" * 5000)
+    out = write_smiles(mol)
+    assert molecule_key(parse_smiles(out)) == molecule_key(mol)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     idx=st.integers(min_value=0, max_value=len(SMILES_CORPUS) - 1),

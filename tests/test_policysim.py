@@ -70,6 +70,17 @@ def test_copy_is_independent():
     assert policy.logit_format == 0.0
 
 
+def test_zeros_like_matches_shapes():
+    rng = np.random.default_rng(2)
+    policy = _random_policy(rng, n_attrs=4, max_count=3, n_queries=2)
+    zero = policy.zeros_like()
+    assert zero.logit_format == 0.0
+    for name in ("logits_count", "logits_attr", "logits_polarity",
+                 "logits_answer"):
+        assert getattr(zero, name).shape == getattr(policy, name).shape
+        assert not getattr(zero, name).any()
+
+
 def test_add_scaled():
     a = PolicyParams.zeros(n_attrs=2, max_count=1)
     b = PolicyParams.zeros(n_attrs=2, max_count=1)
@@ -90,8 +101,7 @@ def test_action_probabilities_sum_to_one():
     policy = _random_policy(rng)
     total = 0.0
     for action in _all_actions(3, 2):
-        logp, grad = action_logp(policy, action, 0, temperature=0.6)
-        assert grad is None
+        logp, _ = action_logp(policy, action, 0, temperature=0.6)
         total += math.exp(logp)
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -118,7 +128,7 @@ def test_score_gradient_matches_finite_differences():
     policy = _random_policy(rng, n_attrs=4, max_count=3, n_queries=2)
     action = Action(True, None, 2, (1, 3), (1, 0), False)
     T = 0.7
-    logp, grad = action_logp(policy, action, 1, T, want_grad=True)
+    logp, grad = action_logp(policy, action, 1, T)
     h = 1e-6
 
     def perturbed(setter):
@@ -146,6 +156,21 @@ def test_score_gradient_matches_finite_differences():
         check_array("logits_polarity", i, grad.logits_polarity[i])
     for i in range(2):
         check_array("logits_answer", i, grad.logits_answer[i])
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        Action(True, None, 2, (0,), (1,), True),         # too few attrs
+        Action(True, None, 1, (0, 1), (1, 0), True),     # too many attrs
+        Action(True, None, 1, (0,), (), True),           # missing polarity
+        Action(True, "think", 0, (), (), True),          # omit when well formed
+    ],
+)
+def test_action_logp_rejects_inconsistent_action(action):
+    policy = PolicyParams.zeros(n_attrs=3, max_count=2)
+    with pytest.raises(ValueError):
+        action_logp(policy, action, 0, 0.6)
 
 
 def test_logp_layers_accumulate():
@@ -182,9 +207,14 @@ def test_sampled_logp_matches_recomputation():
     rng = np.random.default_rng(7)
     for _ in range(20):
         out = sample_response(policy, _prompt(), rng)
-        again, _ = action_logp(policy, out.action, 0, 0.6)
+        again, score = action_logp(policy, out.action, 0, 0.6)
         assert out.logp == pytest.approx(again, abs=1e-12)
         assert out.logp < 0.0
+        assert out.score.logit_format == score.logit_format
+        for name in ("logits_count", "logits_attr", "logits_polarity",
+                     "logits_answer"):
+            assert np.array_equal(getattr(out.score, name),
+                                  getattr(score, name))
 
 
 def test_sampled_text_parses_consistently_with_format_bit():
