@@ -14,6 +14,8 @@ inputs/outputs, seed, package version, and wall time.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -64,6 +66,26 @@ _INPUT_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _atomic_output(target):
+    """Write to a temp file beside ``target``; it replaces ``target`` only
+    if the block finishes, and is removed on any error."""
+    directory = os.path.dirname(os.path.abspath(target)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -80,17 +102,9 @@ class RunManifest:
         target = self.manifest_path or (self.outputs[0] + ".manifest.json")
         payload = {k: v for k, v in asdict(self).items()
                    if k != "manifest_path"}
-        directory = os.path.dirname(os.path.abspath(target)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with _atomic_output(target) as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _manifest(command, config, inputs, outputs, seed, started) -> None:
@@ -128,6 +142,8 @@ def _record_error(rec) -> str | None:
     for key in ("smiles", "task", "target", "response_text", "label"):
         if key not in rec:
             return f"missing field {key!r}"
+    if "id" in rec and not isinstance(rec["id"], str):
+        return f"id must be a string, got {rec['id']!r}"
     task, label = rec["task"], rec["label"]
     if task not in (CLASSIFICATION, REGRESSION):
         return f"task must be {CLASSIFICATION!r} or {REGRESSION!r}, got {task!r}"
@@ -170,12 +186,15 @@ def cmd_score(args) -> int:
         if problem is not None:
             raise InputError(f"{args.corpus}:{lineno}: {problem}")
 
-    out = open(args.out, "w") if args.out else sys.stdout
+    # Records that share a SMILES (the G responses of a group) share one
+    # Molecule and its descriptor cache. The memo lives for this call only.
+    parse = functools.lru_cache(maxsize=64)(parse_smiles)
     sums = np.zeros(5)
-    try:
+    with (_atomic_output(args.out) if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         for lineno, rec in records:
             try:
-                mol = parse_smiles(rec["smiles"])
+                mol = parse(rec["smiles"])
             except SmilesError as exc:
                 raise InputError(
                     f"{args.corpus}:{lineno}: bad SMILES: {exc}"
@@ -226,9 +245,6 @@ def cmd_score(args) -> int:
                 f"rat={means[3]:.3f} total={means[4]:.3f}",
                 file=out,
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.out:
         _manifest(
             "score",

@@ -165,8 +165,11 @@ def resolve_attribute(raw_name: str) -> DescriptorId | None:
 # ---------------------------------------------------------------------------
 
 _HETERO_EXCLUDE = {"C", "H"}
+_HALOGENS = ("F", "Cl", "Br", "I", "At")
 _BOND_CHAR = {"single": "s", "double": "d", "triple": "t", "aromatic": "a"}
 _BOND_SORT = {"s": 0, "d": 1, "t": 2, "a": 3}
+# A table row's pattern as (key, value) pairs; integer values are ints.
+_Tokens = tuple[tuple[str, "str | int"], ...]
 
 
 @dataclass(frozen=True)
@@ -231,30 +234,28 @@ def _multibond_partner(neighbors, order_ch: str, klass: str) -> bool:
     return False
 
 
-def _pattern_matches(tokens: tuple[tuple[str, str], ...], env: _AtomEnv) -> bool:
+def _pattern_matches(tokens: _Tokens, env: _AtomEnv) -> bool:
     for key, val in tokens:
-        if key == "*":
-            continue
         if key == "el":
             if val == "hal":
-                if env.element not in ("F", "Cl", "Br", "I", "At"):
+                if env.element not in _HALOGENS:
                     return False
             elif env.element != val:
                 return False
         elif key == "arom":
-            if env.aromatic != (val == "1"):
+            if env.aromatic != bool(val):
                 return False
         elif key == "h":
-            if env.total_h != int(val):
+            if env.total_h != val:
                 return False
         elif key == "hmin":
-            if env.total_h < int(val):
+            if env.total_h < val:
                 return False
         elif key == "hmax":
-            if env.total_h > int(val):
+            if env.total_h > val:
                 return False
         elif key == "chg":
-            if env.charge != int(val):
+            if env.charge != val:
                 return False
         elif key == "chgpos":
             if not env.charge > 0:
@@ -266,10 +267,10 @@ def _pattern_matches(tokens: tuple[tuple[str, str], ...], env: _AtomEnv) -> bool
             if env.bonds != val:
                 return False
         elif key == "ring3":
-            if env.ring3 != (val == "1"):
+            if env.ring3 != bool(val):
                 return False
         elif key == "degmin":
-            if env.degree < int(val):
+            if env.degree < val:
                 return False
         elif key == "dbl":
             if val == "none":
@@ -297,36 +298,70 @@ def _pattern_matches(tokens: tuple[tuple[str, str], ...], env: _AtomEnv) -> bool
     return True
 
 
-def _load_param_table(filename: str) -> list[tuple[str, tuple[tuple[str, str], ...], float]]:
+def _read_param_rows(filename: str) -> list[tuple[_Tokens, float]]:
+    """(pattern tokens, contribution) per table row, in file order.
+
+    The ``*`` pattern has no tokens, so it matches every atom.
+    """
     rows = []
     for line in (_DATA_DIR / filename).read_text().splitlines():
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
-        code, pattern, value = parts[0], parts[1], float(parts[2])
-        if pattern == "*":
-            tokens: tuple[tuple[str, str], ...] = (("*", ""),)
-        else:
-            tokens = tuple(tuple(tok.split("=", 1)) for tok in pattern.split(";"))  # type: ignore[misc]
-        rows.append((code, tokens, value))
+        pattern, value = parts[1], float(parts[2])
+        tokens = () if pattern == "*" else tuple(
+            (key, int(val) if val.lstrip("-").isdigit() else val)
+            for key, val in (tok.split("=", 1) for tok in pattern.split(";"))
+        )
+        rows.append((tokens, value))
     return rows
+
+
+def _admits(tokens: _Tokens, element: str | None) -> bool:
+    """Whether a row's ``el`` token (if any) lets it match ``element``."""
+    el = dict(tokens).get("el")
+    return el is None or el == element or (el == "hal" and element in _HALOGENS)
+
+
+def _load_param_index(filename: str) -> dict[str | None, tuple[tuple[_Tokens, float], ...]]:
+    """A parameter table's rows, indexed by the element they can match.
+
+    Each element's rows keep file order, so its first match is the first
+    match in the whole table. Rows without an ``el`` token sit in every
+    list; the ``None`` list holds just those, for elements no row names.
+    """
+    rows = _read_param_rows(filename)
+    named = {dict(tokens).get("el") for tokens, _ in rows} | {None}
+    if "hal" in named:
+        named = (named - {"hal"}) | set(_HALOGENS)
+    return {el: tuple(r for r in rows if _admits(r[0], el)) for el in named}
+
+
+def _match_contribution(index, env: _AtomEnv) -> float | None:
+    """The value of the first row whose pattern matches ``env``."""
+    for tokens, value in index.get(env.element, index[None]):
+        if _pattern_matches(tokens, env):
+            return value
+    return None
 
 
 @functools.lru_cache(maxsize=1)
 def _crippen_table():
-    return _load_param_table("crippen_params.tsv")
+    return _load_param_index("crippen_params.tsv")
 
 
 @functools.lru_cache(maxsize=1)
 def _tpsa_table():
-    return _load_param_table("tpsa_fragments.tsv")
+    return _load_param_index("tpsa_fragments.tsv")
 
 
-def _match_contribution(table, env: _AtomEnv) -> float | None:
-    for _code, tokens, value in table:
-        if _pattern_matches(tokens, env):
-            return value
-    return None
+@functools.lru_cache(maxsize=None)
+def _h_contribution(parent_element: str, parent_aromatic: bool) -> float:
+    """Crippen contribution of one H; it depends only on its parent atom's
+    element and aromaticity."""
+    env = _AtomEnv("H", False, 0, 0, "s", False, 1,
+                   ((parent_element, parent_aromatic, "s"),))
+    return _match_contribution(_crippen_table(), env) or 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +397,10 @@ def _mol_logp(mol: Molecule) -> float:
     table = _crippen_table()
     total = 0.0
     for atom in mol.atoms:
-        env = _atom_env(mol, atom.index)
-        contrib = _match_contribution(table, env)
+        contrib = _match_contribution(table, _atom_env(mol, atom.index))
         total += contrib if contrib is not None else 0.0
         if atom.total_h:
-            h_env = _AtomEnv("H", False, 0, 0, "s", False, 1,
-                             ((atom.element, atom.aromatic, "s"),))
-            h_contrib = _match_contribution(table, h_env) or 0.0
-            total += atom.total_h * h_contrib
+            total += atom.total_h * _h_contribution(atom.element, atom.aromatic)
     return total
 
 
@@ -482,7 +513,7 @@ def _num_sulfur(mol: Molecule) -> float:
 
 @_calculator("NumHalogenAtoms")
 def _num_halogens(mol: Molecule) -> float:
-    return float(sum(1 for a in mol.atoms if a.element in ("F", "Cl", "Br", "I", "At")))
+    return float(sum(1 for a in mol.atoms if a.element in _HALOGENS))
 
 
 @_calculator("FormalCharge")

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .descriptors import DescriptorId, compute, registry, resolve_attribute
 from .molgraph import Molecule, SmilesError, parse_smiles, scaffold_key
@@ -484,6 +483,17 @@ def load_forest(path) -> ForestModel:
 # ---------------------------------------------------------------------------
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share their mean rank."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_score(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC with tie averaging."""
     s = np.asarray(scores, dtype=float)
@@ -492,7 +502,7 @@ def auc_score(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("AUC needs both classes present")
-    ranks = rankdata(s)  # average ranks on ties
+    ranks = _average_ranks(s)
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -1,11 +1,18 @@
 """End-to-end command-line behavior: outputs, manifests, exit codes."""
 
+import csv
 import json
+import os
+from collections import Counter
 
 import pytest
 
+from attrilens import cli
 from attrilens._data import data_path
 from attrilens.cli import main
+from attrilens.molgraph import parse_smiles
+from attrilens.response import parse_response
+from attrilens.rewards import load_range_table, total_reward
 
 
 def run(capsys, *argv):
@@ -53,6 +60,10 @@ def test_score_writes_output_and_manifest(capsys, tmp_path):
     )
     assert code == 0
     assert out_file.exists()
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in tmp_path.iterdir():
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
     manifest = json.loads((tmp_path / "scores.jsonl.manifest.json").read_text())
     assert manifest["command"] == "score"
     assert manifest["outputs"] == [str(out_file)]
@@ -139,6 +150,111 @@ def test_score_bad_count_bounds_exit_3(capsys):
         "--count-bounds", "banana",
     )
     assert code == 3
+
+
+def test_score_non_string_id_exit_2(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, "id": 5}) + "\n")
+    for fmt in ("json", "plain"):
+        code, _, err = run(capsys, "score", str(corpus), "--format", fmt)
+        assert code == 2
+        assert f"{corpus}:2:" in err and "id" in err
+
+
+@pytest.mark.parametrize(
+    "override, exit_code",
+    [({"smiles": "C(C"}, 2), ({"target": "SIDER"}, 3)],
+    ids=["bad-smiles", "target-not-in-table"],
+)
+def test_score_failure_leaves_out_untouched(capsys, tmp_path, override,
+                                            exit_code):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, **override}) + "\n")
+    out_file = tmp_path / "scores.jsonl"
+    code, _, _ = run(capsys, "score", str(corpus), "--out", str(out_file))
+    assert code == exit_code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+    out_file.write_text("earlier scores\n")
+    code, _, _ = run(capsys, "score", str(corpus), "--out", str(out_file))
+    assert code == exit_code
+    assert out_file.read_text() == "earlier scores\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl",
+                                                          "scores.jsonl"]
+
+
+_MEMO_RESPONSES = [
+    "<think> t </think>\n<name> MolLogP: promotes, TPSA: inhibits, "
+    "MolWt: inhibits </name>\n<answer> True </answer>",
+    "<think> t </think>\n<name> LogP: inhibits, HBD: promotes, "
+    "RingCount: promotes, Mol Weight: promotes </name>\n<answer> False "
+    "</answer>",
+    "<think> t </think>\n<name> TPSA: promotes, NumHAcceptors: inhibits, "
+    "FractionCSP3: promotes </name>\n<answer> True </answer>",
+]
+
+
+def _bbbp_smiles(n):
+    with open(data_path("bbbp_synthetic.csv")) as fh:
+        distinct = list(dict.fromkeys(r["smiles"] for r in csv.DictReader(fh)))
+    return distinct[:n]
+
+
+def _memo_corpus(tmp_path, smiles_order):
+    records = [
+        {"id": f"r{i}", "smiles": smi, "task": "classification",
+         "target": "BBBP", "label": i % 3 == 0,
+         "response_text": _MEMO_RESPONSES[i % len(_MEMO_RESPONSES)]}
+        for i, smi in enumerate(smiles_order)
+    ]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return corpus, records
+
+
+def test_score_memo_rows_equal_fresh_parses(capsys, tmp_path):
+    smiles = _bbbp_smiles(74)
+    order = ([smiles[0]] * 4 + [smiles[1]] * 4           # adjacent groups
+             + [smiles[2], smiles[3]] * 3 + [smiles[0]]  # interleaved
+             + smiles[4:]                                # past the memo bound
+             + [smiles[0], smiles[2], smiles[2]])        # evicted, then again
+    corpus, records = _memo_corpus(tmp_path, order)
+    code, out, _ = run(capsys, "score", str(corpus))
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()][:-1]
+    table = load_range_table("gpt4o-default")
+    expected = []
+    for rec in records:
+        bd = total_reward(
+            parse_response(rec["response_text"], task=rec["task"]),
+            parse_smiles(rec["smiles"]), rec["label"], rec["target"], table,
+            count_bounds=(3, 10), task=rec["task"],
+        )
+        expected.append({
+            "id": rec["id"], "format": bd.format, "correct": bd.correct,
+            "count": bd.count, "rational": bd.rational, "total": bd.total,
+            "n_att": bd.n_att, "verified": bd.verified, "matched": bd.matched,
+        })
+    assert rows == expected
+
+
+def test_score_parses_each_adjacent_group_once_per_call(capsys, tmp_path,
+                                                        monkeypatch):
+    smiles = _bbbp_smiles(5)
+    corpus, _ = _memo_corpus(tmp_path, [s for s in smiles for _ in range(8)])
+    calls = Counter()
+    real = cli.parse_smiles
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_smiles", counting)
+    assert run(capsys, "score", str(corpus))[0] == 0
+    assert calls == Counter({s: 1 for s in smiles})
+    assert run(capsys, "score", str(corpus))[0] == 0
+    assert calls == Counter({s: 2 for s in smiles})
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Descriptor registry, fuzzy name resolution, and calculator oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrilens import descriptors
+from attrilens._data import data_path
 from attrilens.descriptors import (
     DescriptorValue,
     Unimplemented,
@@ -14,7 +18,7 @@ from attrilens.descriptors import (
     registry,
     resolve_attribute,
 )
-from attrilens.molgraph import parse_smiles, write_smiles
+from attrilens.molgraph import SmilesError, parse_smiles, write_smiles
 
 from conftest import SMILES_CORPUS
 
@@ -183,6 +187,50 @@ def test_counting_descriptors(smiles, name, value):
 def test_parameter_table_regression_pins(smiles, name, value):
     mol = parse_smiles(smiles)
     assert compute(mol, name).value == pytest.approx(value, abs=1e-3)
+
+
+def _linear_contribution(rows, env):
+    """Reference: the value of the first matching row in file order."""
+    for tokens, value in rows:
+        if descriptors._pattern_matches(tokens, env):
+            return value
+    return None
+
+
+def _bundled_molecules():
+    smiles = list(SMILES_CORPUS) + ["[Na+].[Cl-]", "[He]", "FC(Cl)(Br)I",
+                                    "B(O)O", "C[Se]C", "OP(=O)(O)O",
+                                    "CS(=O)(=O)C"]
+    for name in ("bace_synthetic.csv", "bbbp_synthetic.csv"):
+        with open(data_path(name)) as fh:
+            smiles += [row["smiles"] for row in csv.DictReader(fh)]
+    for text in dict.fromkeys(smiles):
+        try:
+            yield parse_smiles(text)
+        except SmilesError:
+            continue
+
+
+def test_indexed_tables_match_linear_scan():
+    crippen = descriptors._read_param_rows("crippen_params.tsv")
+    tpsa = descriptors._read_param_rows("tpsa_fragments.tsv")
+    seen = 0
+    for mol in _bundled_molecules():
+        for atom in mol.atoms:
+            env = descriptors._atom_env(mol, atom.index)
+            assert descriptors._match_contribution(
+                descriptors._crippen_table(), env) == \
+                _linear_contribution(crippen, env)
+            assert descriptors._match_contribution(
+                descriptors._tpsa_table(), env) == \
+                _linear_contribution(tpsa, env)
+            h_env = descriptors._AtomEnv(
+                "H", False, 0, 0, "s", False, 1,
+                ((atom.element, atom.aromatic, "s"),))
+            assert descriptors._h_contribution(atom.element, atom.aromatic) \
+                == (_linear_contribution(crippen, h_env) or 0.0)
+            seen += 1
+    assert seen > 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """CSV loading, scaffold splitting, forest training, and AUC scoring."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attrilens
 from attrilens._data import data_path
 from attrilens.mlpipe import (
     CsvSchema,
@@ -302,6 +306,34 @@ def test_auc_invariant_under_monotone_transform(scores, labels):
     for (a, fa), (b, fb) in itertools.combinations(zip(scores, mapped), 2):
         assert np.sign(fa - fb) == np.sign(a - b)
     assert base == pytest.approx(auc_score(mapped, lab), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=3), st.booleans()),
+        min_size=2,
+        max_size=40,
+    ).filter(lambda ps: len({y for _, y in ps}) == 2)
+)
+def test_auc_equals_pairwise_count(pairs):
+    # Seven score values over up to 40 records: most draws hold ties.
+    pos = [s for s, y in pairs if y]
+    neg = [s for s, y in pairs if not y]
+    wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
+               for p in pos for n in neg)
+    scores = [float(s) for s, _ in pairs]
+    labels = [y for _, y in pairs]
+    assert auc_score(scores, labels) == wins / (len(pos) * len(neg))
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(attrilens.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import attrilens; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
