@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -298,10 +298,16 @@ def cmd_descriptors(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_CASTS = {
+    "steps": int, "group_size": int, "temperature": float,
+    "learning_rate": float, "seed": int, "algorithm": str,
+    "range_table": str, "dataset": str, "count_bounds": _parse_count_bounds,
+}
+
+
 def _read_config_file(path) -> dict:
     """key=value lines; blank lines and #-comments ignored."""
     overrides = {}
-    valid = {f.name for f in fields(TrainConfig)}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -309,9 +315,12 @@ def _read_config_file(path) -> dict:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()
-            if not sep or key not in valid:
+            if not sep or key not in _CONFIG_CASTS:
                 raise ConfigError(f"{path}:{lineno}: bad config line {line!r}")
-            overrides[key] = value.strip()
+            try:
+                overrides[key] = _CONFIG_CASTS[key](value.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return overrides
 
 
@@ -319,15 +328,7 @@ def cmd_train_sim(args) -> int:
     started = time.time()
     kwargs = {}
     if args.config:
-        raw = _read_config_file(args.config)
-        casts = {
-            "steps": int, "group_size": int, "temperature": float,
-            "learning_rate": float, "seed": int, "algorithm": str,
-            "range_table": str, "dataset": str,
-            "count_bounds": lambda s: _parse_count_bounds(s),
-        }
-        for key, value in raw.items():
-            kwargs[key] = casts[key](value)
+        kwargs.update(_read_config_file(args.config))
     for key in ("steps", "group_size", "temperature", "learning_rate",
                 "seed", "algorithm"):
         flag = getattr(args, key)

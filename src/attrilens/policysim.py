@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -121,10 +123,10 @@ class PolicyParams:
         """All-zero parameters of the same shapes (score and update buffers)."""
         return PolicyParams(
             0.0,
-            np.zeros_like(self.logits_count),
-            np.zeros_like(self.logits_attr),
-            np.zeros_like(self.logits_polarity),
-            np.zeros_like(self.logits_answer),
+            np.zeros(self.logits_count.shape),
+            np.zeros(self.logits_attr.shape),
+            np.zeros(self.logits_polarity.shape),
+            np.zeros(self.logits_answer.shape),
         )
 
     def add_scaled(self, other: "PolicyParams", scale: float) -> None:
@@ -169,12 +171,10 @@ class SampledResponse:
     score: PolicyParams = field(compare=False, repr=False)
 
 
-def _sigmoid(x: float) -> float:
-    # evaluated on logit/temperature; clamp-free because logits stay small
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # evaluated on logit/temperature; exp(-|x|) <= 1 never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -183,72 +183,154 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _walk(policy: PolicyParams, query_index: int, T: float, pick):
+_BAD_PROBABILITIES = (
+    "policy probabilities must be finite and non-negative; "
+    "check the logits and the temperature"
+)
+_LOG_OMIT = float(np.log(1.0 / len(_TAG_NAMES)))
+
+
+def _categorical(p: np.ndarray, T: float) -> tuple[list, list, np.ndarray]:
+    """A categorical row: the sampling CDF, ``log p`` and ``p/T``.
+
+    ``log p`` is ``-inf`` where ``p`` is 0 (drawn attributes); callers
+    build rows with numpy's divide warning off.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    # a softmax puts every p in [0, 1] unless NaN or overflowing logits
+    # make it NaN, and a NaN anywhere makes the last CDF entry NaN
+    if cdf[-1] != 1.0:
+        raise ValueError(_BAD_PROBABILITIES)
+    return cdf, np.log(p).tolist(), p / T
+
+
+class _Table:
+    """Every factor distribution of one policy at temperature ``T``.
+
+    A bit row is ``(p, (log(1-p), log p), ((0-p)/T, (1-p)/T))`` and a
+    categorical row ``(cdf, log p, p/T)``, in Python floats and lists.
+    The CDF is the one ``Generator.choice`` builds, so
+    ``bisect_right(cdf, rng.random())`` draws the index ``rng.choice``
+    would, from the same single ``random()``. Masked attribute rows are
+    keyed by the bit set of the attributes already drawn and built on
+    first use, from the logits as they were when the table was built.
+    A NaN, infinite or negative probability (NaN logits, or ``logit/T``
+    overflowing) raises ``ValueError``.
+    """
+
+    def __init__(self, policy: PolicyParams, T: float):
+        self.policy = policy
+        self.T = T
+        self.inv_T = 1.0 / T
+        self._attr_logits = policy.logits_attr / T
+        self._attr: dict[int, tuple] = {}
+        p = _sigmoid(np.concatenate((
+            [policy.logit_format], policy.logits_polarity,
+            policy.logits_answer,
+        )) / T)
+        if not ((p >= 0.0) & (p <= 1.0)).all():
+            raise ValueError(_BAD_PROBABILITIES)
+        with np.errstate(divide="ignore"):
+            self.count = _categorical(_softmax(policy.logits_count / T), T)
+            self.attr(0)  # the unmasked row checks every attribute logit
+            rows = list(zip(
+                p.tolist(),
+                zip(np.log(1.0 - p).tolist(), np.log(p).tolist()),
+                zip(((0.0 - p) / T).tolist(), ((1.0 - p) / T).tolist()),
+            ))
+        self.format = rows[0]
+        self.polarity = rows[1:1 + policy.n_attrs]
+        self.answer = rows[1 + policy.n_attrs:]
+
+    def attr(self, drawn: int) -> tuple:
+        """The attribute distribution with the set bits of ``drawn`` masked.
+
+        Call it with numpy's divide warning off, as ``_walk`` does.
+        """
+        row = self._attr.get(drawn)
+        if row is None:
+            z = self._attr_logits.copy()
+            z[[i for i in range(z.size) if drawn >> i & 1]] = -np.inf
+            row = self._attr[drawn] = _categorical(_softmax(z), self.T)
+        return row
+
+
+@np.errstate(divide="ignore")  # log(0) in attribute rows built on first use
+def _walk(table: _Table, ref: _Table, query_index: int, pick):
     """Visit every factor of the policy once, in sampling order.
 
     ``pick(kind, p)`` chooses each factor's outcome: a bool for
     ``kind="bit"`` (``p`` is the probability of True), an index below ``p``
-    for the equiprobable ``kind="uniform"``, and an index into the
-    probability vector ``p`` for ``kind="categorical"``. Returns the
-    action, its exact log-probability and its score -- the gradient of
-    ``logp`` with respect to every logit, in the standard forms at
-    temperature ``T``: ``(b - p)/T`` for a Bernoulli bit and
+    for the equiprobable ``kind="uniform"``, and an index into the CDF
+    ``p`` for ``kind="categorical"``. Returns the action, its exact
+    log-probability under ``table``'s policy and under ``ref``'s (the same
+    terms, in the same order), and its score under ``table``'s policy --
+    the gradient of ``logp`` with respect to every logit, in the standard
+    forms at temperature ``T``: ``(b - p)/T`` for a Bernoulli bit and
     ``(onehot - p)/T`` for each categorical draw, with already-drawn
     attributes masked out of later draws. The uniform choice of which tag
-    pair to omit contributes ``log(1/3)`` to ``logp`` and nothing to the
-    score.
+    pair to omit contributes ``log(1/3)`` to each log-probability and
+    nothing to the score.
     """
-    score = policy.zeros_like()
-    logp = 0.0
+    score = table.policy.zeros_like()
+    logp = logp_ref = 0.0
 
     # format bit, and the omitted tag pair when it comes up 0
-    p_ok = _sigmoid(policy.logit_format / T)
-    format_ok = bool(pick("bit", p_ok))
-    logp += np.log(p_ok if format_ok else 1.0 - p_ok)
-    score.logit_format = ((1.0 if format_ok else 0.0) - p_ok) / T
+    p, logs, dscore = table.format
+    format_ok = bool(pick("bit", p))
+    logp += logs[format_ok]
+    logp_ref += ref.format[1][format_ok]
+    score.logit_format = dscore[format_ok]
     omit = None
     if not format_ok:
         omit = _TAG_NAMES[pick("uniform", len(_TAG_NAMES))]
-        logp += np.log(1.0 / len(_TAG_NAMES))
+        logp += _LOG_OMIT
+        logp_ref += _LOG_OMIT
 
     # attribute count
-    p_count = _softmax(policy.logits_count / T)
-    count = pick("categorical", p_count)
-    logp += np.log(p_count[count])
-    score.logits_count = -p_count / T
-    score.logits_count[count] += 1.0 / T
+    cdf, logs, p_T = table.count
+    count = pick("categorical", cdf)
+    logp += logs[count]
+    logp_ref += ref.count[1][count]
+    score.logits_count = -p_T
+    score.logits_count[count] += table.inv_T
 
-    # ordered without-replacement attribute draws
+    # ordered without-replacement attribute draws; drawn attributes have
+    # p = 0 in later draws, so subtracting all of p/T leaves them as they are
     attrs = []
-    mask = np.zeros(policy.n_attrs, dtype=bool)
+    drawn = 0
     for _ in range(count):
-        p_attr = _softmax(np.where(mask, -np.inf, policy.logits_attr / T))
-        idx = pick("categorical", p_attr)
-        logp += np.log(p_attr[idx])
-        live = ~mask
-        score.logits_attr[live] -= p_attr[live] / T
-        score.logits_attr[idx] += 1.0 / T
-        mask[idx] = True
+        cdf, logs, p_T = table.attr(drawn)
+        idx = pick("categorical", cdf)
+        logp += logs[idx]
+        logp_ref += ref.attr(drawn)[1][idx]
+        score.logits_attr -= p_T
+        score.logits_attr[idx] += table.inv_T
+        drawn |= 1 << idx
         attrs.append(idx)
 
     # per-attribute polarity bits
     polarities = []
     for idx in attrs:
-        p_pro = _sigmoid(policy.logits_polarity[idx] / T)
-        bit = int(pick("bit", p_pro))
-        logp += np.log(p_pro if bit else 1.0 - p_pro)
-        score.logits_polarity[idx] += (bit - p_pro) / T
+        p, logs, dscore = table.polarity[idx]
+        bit = int(pick("bit", p))
+        logp += logs[bit]
+        logp_ref += ref.polarity[idx][1][bit]
+        score.logits_polarity[idx] += dscore[bit]
         polarities.append(bit)
 
     # per-query answer bit
-    p_true = _sigmoid(policy.logits_answer[query_index] / T)
-    answer = bool(pick("bit", p_true))
-    logp += np.log(p_true if answer else 1.0 - p_true)
-    score.logits_answer[query_index] = ((1.0 if answer else 0.0) - p_true) / T
+    p, logs, dscore = table.answer[query_index]
+    answer = bool(pick("bit", p))
+    logp += logs[answer]
+    logp_ref += ref.answer[query_index][1][answer]
+    score.logits_answer[query_index] = dscore[answer]
 
     action = Action(format_ok, omit, count, tuple(attrs), tuple(polarities),
                     answer)
-    return action, float(logp), score
+    return action, logp, logp_ref, score
 
 
 def action_logp(
@@ -266,15 +348,29 @@ def action_logp(
         *action.polarities,
         action.answer,
     ))
+    table = _Table(policy, temperature)
     try:
-        walked, logp, score = _walk(
-            policy, query_index, temperature, lambda kind, p: next(outcomes)
+        walked, logp, _, score = _walk(
+            table, table, query_index, lambda kind, p: next(outcomes)
         )
     except StopIteration:
         walked = None
     if walked != action:
         raise ValueError(f"inconsistent action {action}")
     return logp, score
+
+
+def _sampler(rng: np.random.Generator):
+    """The ``pick`` that draws each factor's outcome from ``rng``."""
+
+    def draw(kind, p):
+        if kind == "bit":
+            return rng.random() < p
+        if kind == "uniform":
+            return int(rng.integers(p))
+        return bisect_right(p, rng.random())
+
+    return draw
 
 
 def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
@@ -303,15 +399,8 @@ def sample_response(
     """
     if prompt.task != CLASSIFICATION:
         raise ConfigError("the simulator supports classification prompts only")
-
-    def draw(kind, p):
-        if kind == "bit":
-            return rng.random() < p
-        if kind == "uniform":
-            return int(rng.integers(p))
-        return int(rng.choice(p.size, p=p))
-
-    action, logp, score = _walk(policy, query_index, temperature, draw)
+    table = _Table(policy, temperature)
+    action, logp, _, score = _walk(table, table, query_index, _sampler(rng))
     vocab = tuple(implemented_names())[: policy.n_attrs]
     return SampledResponse(_render_action(action, vocab), logp, action, score)
 
@@ -394,8 +483,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError("temperature must be finite and > 0")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
         lo, hi = self.count_bounds
@@ -448,7 +540,9 @@ def train(
     policy for the KL pull is the initial parameter snapshot. Under
     ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
-    the policy actually emits).
+    the policy actually emits). Each step builds one factor table for the
+    current policy and one for the reference, and each sample's walk reads
+    its log-probability under both.
     """
     if dataset is None:
         if config.dataset is None:
@@ -464,7 +558,10 @@ def train(
         raise ConfigError(
             "policy answer head size does not match dataset length"
         )
+    if any(q.prompt.task != CLASSIFICATION for q in dataset):
+        raise ConfigError("the simulator supports classification prompts only")
     reference = policy.copy()
+    vocab = tuple(implemented_names())[: policy.n_attrs]
     curves = TrainingCurves()
 
     for step in range(1, config.steps + 1):
@@ -472,17 +569,20 @@ def train(
         n_samples = 0
         n_groups_kept = 0
         grad_acc = policy.zeros_like()
+        current, frozen = _Table(policy, T), _Table(reference, T)
         for qid, query in enumerate(dataset):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, step, qid])
             )
+            draw = _sampler(rng)
             samples = [
-                sample_response(policy, query.prompt, rng, qid, T)
+                _walk(current, frozen, qid, draw)
                 for _ in range(config.group_size)
             ]
             records = []
-            for s in samples:
-                parsed = parse_response(s.text, task=query.prompt.task)
+            for action, logp, logp_ref, _ in samples:
+                text = _render_action(action, vocab)
+                parsed = parse_response(text, task=query.prompt.task)
                 bd = total_reward(
                     parsed,
                     query.molecule,
@@ -494,9 +594,8 @@ def train(
                 )
                 sums[:5] += (bd.format, bd.correct, bd.count,
                              bd.rational, bd.total)
-                logp_ref, _ = action_logp(reference, s.action, qid, T)
                 records.append(
-                    grpo.ResponseRecord(s.text, bd.total, s.logp, logp_ref)
+                    grpo.ResponseRecord(text, bd.total, logp, logp_ref)
                 )
             n_samples += len(samples)
 
@@ -507,8 +606,8 @@ def train(
             logp_new = group.logp_old()  # on-policy single update
             sums[5] += grpo.grpo_objective(group, logp_new, cfg)
             per_sample = grpo.grpo_gradient(group, logp_new, cfg)
-            for coeff, s in zip(per_sample, samples):
-                grad_acc.add_scaled(s.score, float(coeff))
+            for coeff, (*_, score) in zip(per_sample, samples):
+                grad_acc.add_scaled(score, float(coeff))
             n_groups_kept += 1
 
         if n_groups_kept:

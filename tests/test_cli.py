@@ -335,6 +335,26 @@ def test_train_sim_bad_config_line_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("line", ["steps=abc", "temperature=warm",
+                                  "count_bounds=5,3"])
+def test_train_sim_bad_config_value_names_line(capsys, tmp_path, line):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"# sim\nseed=1\n{line}\n")
+    code, _, err = run(capsys, "train-sim", "--config", str(cfg))
+    assert code == 3
+    assert f"{cfg}:3:" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_sim_overflowing_temperature_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("temperature=1e-320\nsteps=3\n")
+    code, _, err = run(capsys, "train-sim", "--config", str(cfg),
+                       "--out", str(tmp_path / "c.csv"))
+    assert code == 3
+    assert "temperature" in err
+
+
 def test_train_sim_bad_steps_exit_3(capsys, tmp_path):
     code, _, _ = run(capsys, "train-sim", "--steps", "0",
                      "--out", str(tmp_path / "c.csv"))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attrilens._data import data_path
 from attrilens.policysim import (
@@ -12,6 +14,11 @@ from attrilens.policysim import (
     ConfigError,
     PolicyParams,
     TrainConfig,
+    _categorical,
+    _sampler,
+    _softmax,
+    _Table,
+    _walk,
     action_logp,
     export_curves,
     load_sim_dataset,
@@ -259,6 +266,157 @@ def test_attr_draws_are_distinct():
         assert len(set(out.action.attrs)) == len(out.action.attrs)
 
 
+def test_nan_count_logit_raises_value_error():
+    policy = PolicyParams.zeros()
+    policy.logits_count[2] = math.nan
+    with pytest.raises(ValueError):
+        sample_response(policy, _prompt(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "field, index",
+    [("logits_count", 2), ("logits_attr", 0), ("logits_polarity", 0),
+     ("logits_answer", 0), ("logit_format", None)],
+)
+def test_nan_logit_fails_table_build(field, index):
+    policy = PolicyParams.zeros()
+    if index is None:
+        setattr(policy, field, math.nan)
+    else:
+        getattr(policy, field)[index] = math.nan
+    with pytest.raises(ValueError):
+        sample_response(policy, _prompt(), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        action_logp(policy, Action(True, None, 0, (), (), True), 0, 0.6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_temperature_raises_value_error():
+    policy = PolicyParams.zeros()
+    policy.logits_count[0] = 1.0  # 1.0 / 1e-320 overflows to inf
+    with pytest.raises(ValueError):
+        sample_response(policy, _prompt(), np.random.default_rng(0),
+                        temperature=1e-320)
+
+
+# ---------------------------------------------------------------------------
+# step tables: bit-identical to the per-draw sampler
+# ---------------------------------------------------------------------------
+
+
+def _reference_sample(policy, rng, query_index, T):
+    """Per-draw sampler: every factor's sigmoid or softmax is recomputed and
+    categorical draws go through ``rng.choice``; returns (action, logp,
+    score)."""
+
+    def sigmoid(x):
+        if x >= 0:
+            return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(x)
+        return e / (1.0 + e)
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
+
+    score = policy.zeros_like()
+    logp = 0.0
+    p_ok = sigmoid(policy.logit_format / T)
+    format_ok = bool(rng.random() < p_ok)
+    logp += np.log(p_ok if format_ok else 1.0 - p_ok)
+    score.logit_format = ((1.0 if format_ok else 0.0) - p_ok) / T
+    omit = None
+    if not format_ok:
+        omit = ("think", "name", "answer")[int(rng.integers(3))]
+        logp += np.log(1.0 / 3)
+    p_count = softmax(policy.logits_count / T)
+    count = int(rng.choice(p_count.size, p=p_count))
+    logp += np.log(p_count[count])
+    score.logits_count = -p_count / T
+    score.logits_count[count] += 1.0 / T
+    attrs = []
+    mask = np.zeros(policy.n_attrs, dtype=bool)
+    for _ in range(count):
+        p_attr = softmax(np.where(mask, -np.inf, policy.logits_attr / T))
+        idx = int(rng.choice(p_attr.size, p=p_attr))
+        logp += np.log(p_attr[idx])
+        live = ~mask
+        score.logits_attr[live] -= p_attr[live] / T
+        score.logits_attr[idx] += 1.0 / T
+        mask[idx] = True
+        attrs.append(idx)
+    polarities = []
+    for idx in attrs:
+        p_pro = sigmoid(policy.logits_polarity[idx] / T)
+        bit = int(rng.random() < p_pro)
+        logp += np.log(p_pro if bit else 1.0 - p_pro)
+        score.logits_polarity[idx] += (bit - p_pro) / T
+        polarities.append(bit)
+    p_true = sigmoid(policy.logits_answer[query_index] / T)
+    answer = bool(rng.random() < p_true)
+    logp += np.log(p_true if answer else 1.0 - p_true)
+    score.logits_answer[query_index] = ((1.0 if answer else 0.0) - p_true) / T
+    action = Action(format_ok, omit, count, tuple(attrs), tuple(polarities),
+                    answer)
+    return action, float(logp), score
+
+
+def _score_bytes(score):
+    return (np.float64(score.logit_format).tobytes(),
+            *(getattr(score, name).tobytes() for name in
+              ("logits_count", "logits_attr", "logits_polarity",
+               "logits_answer")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    logits=st.lists(st.floats(min_value=-30.0, max_value=30.0),
+                    min_size=1, max_size=14),
+    masked=st.lists(st.booleans(), min_size=14, max_size=14),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_inverse_cdf_draw_matches_generator_choice(logits, masked, seed):
+    mask = np.array(masked[:len(logits)])
+    assume(not mask.all())
+    p = _softmax(np.where(mask, -np.inf, np.array(logits)))
+    with np.errstate(divide="ignore"):  # log of the masked zeros
+        cdf, _, _ = _categorical(p, 1.0)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _sampler(ours)("categorical", cdf) == theirs.choice(p.size, p=p)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampling_is_bit_identical_to_per_draw_sampler(seed):
+    rng = np.random.default_rng(100 + seed)
+    policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=3)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(60):
+        qid, T = i % 3, (0.6, 1.3)[i % 2]
+        out = sample_response(policy, _prompt(), ours, qid, T)
+        action, logp, score = _reference_sample(policy, theirs, qid, T)
+        assert out.action == action
+        assert np.float64(out.logp).tobytes() == np.float64(logp).tobytes()
+        assert _score_bytes(out.score) == _score_bytes(score)
+    assert ours.random() == theirs.random()
+
+
+def test_step_tables_match_action_logp():
+    rng = np.random.default_rng(21)
+    policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=2)
+    reference = _random_policy(rng, n_attrs=14, max_count=12, n_queries=2)
+    T = 0.6
+    current, frozen = _Table(policy, T), _Table(reference, T)
+    draw = _sampler(np.random.default_rng(22))
+    for i in range(200):  # enough that later walks reuse cached rows
+        qid = i % 2
+        action, logp, logp_ref, score = _walk(current, frozen, qid, draw)
+        again, again_score = action_logp(policy, action, qid, T)
+        assert logp == again
+        assert _score_bytes(score) == _score_bytes(again_score)
+        assert logp_ref == action_logp(reference, action, qid, T)[0]
+
+
 # ---------------------------------------------------------------------------
 # dataset loading
 # ---------------------------------------------------------------------------
@@ -298,6 +456,12 @@ def test_dataset_errors(tmp_path, content):
     [
         {"steps": 0},
         {"temperature": 0.0},
+        {"temperature": math.inf},
+        {"temperature": math.nan},
+        {"learning_rate": -5.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
         {"group_size": 1},
         {"count_bounds": (5, 3)},
         {"algorithm": "ppo"},
