@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
@@ -213,7 +214,7 @@ def verify(outdir: Path) -> None:
         labels = [r.label for r in train]
         rng.shuffle(labels)
         shuffled = [
-            type(r)(r.smiles, lab, r.task, r.dataset_name, r.molecule)
+            dataclasses.replace(r, label=lab)
             for r, lab in zip(train, labels)
         ]
         null_model = train_forest(shuffled, features,

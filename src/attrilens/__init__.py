@@ -17,8 +17,8 @@ from .molgraph import (
     murcko_scaffold,
     scaffold_key,
 )
-from .descriptors import resolve_attribute, compute, compute_features
-from .response import PromptSpec, AttributeClaim, ParsedResponse, render_prompt, parse_response
+from .descriptors import resolve_attribute, compute
+from .response import PromptSpec, AttributeClaim, ParsedResponse, parse_response
 from .rewards import (
     RewardBreakdown,
     RangeTable,

@@ -6,7 +6,7 @@ training curves), ``split`` (scaffold split a CSV), ``dtree`` (forest
 on descriptor features + AUC). Exit codes: 0 success, 2 input error,
 3 configuration error, 4 internal invariant violation.
 
-Every command that writes an output artifact also writes a RunManifest
+Every command that writes an output artifact also writes a manifest
 JSON next to it (atomically), capturing the command, its configuration,
 inputs/outputs, seed, package version, and wall time.
 """
@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,7 +57,7 @@ _INPUT_ERRORS = (
     mlpipe.MissingColumn,
     mlpipe.EmptyDataset,
     mlpipe.DegenerateLabels,
-    mlpipe.LengthMismatch,
+    mlpipe.BadRecord,
 )
 
 
@@ -86,36 +86,20 @@ def _atomic_output(target):
         raise
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    inputs: list[str]
-    outputs: list[str]
-    seed: int | None
-    version: str = __version__
-    wall_time_s: float = 0.0
-    manifest_path: str = field(default="", repr=False)
-
-    def write(self) -> None:
-        """Atomic write next to the first output artifact."""
-        target = self.manifest_path or (self.outputs[0] + ".manifest.json")
-        payload = {k: v for k, v in asdict(self).items()
-                   if k != "manifest_path"}
-        with _atomic_output(target) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _manifest(command, config, inputs, outputs, seed, started) -> None:
-    RunManifest(
-        command=command,
-        config=config,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        seed=seed,
-        wall_time_s=round(time.time() - started, 3),
-    ).write()
+    """Write the run's manifest atomically next to its first output."""
+    payload = {
+        "command": command,
+        "config": config,
+        "inputs": [str(p) for p in inputs],
+        "outputs": [str(p) for p in outputs],
+        "seed": seed,
+        "version": __version__,
+        "wall_time_s": round(time.time() - started, 3),
+    }
+    with _atomic_output(f"{outputs[0]}.manifest.json") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +353,7 @@ def cmd_split(args) -> int:
     fractions = tuple(float(f) for f in args.fractions.split(","))
     if len(fractions) != 3:
         raise ConfigError(f"need three fractions, got {args.fractions!r}")
-    parts = mlpipe.scaffold_split(loaded.records, fractions, seed=args.seed)
+    parts = mlpipe.scaffold_split(loaded.records, fractions)
     os.makedirs(args.outdir, exist_ok=True)
     outputs = []
     for name, part in zip(("train", "valid", "test"), parts):
@@ -384,7 +368,7 @@ def cmd_split(args) -> int:
         {"fractions": list(fractions), "smiles_col": args.smiles_col,
          "label_col": args.label_col, "task": args.task,
          "skipped": loaded.skipped},
-        [args.input], outputs, args.seed, started,
+        [args.input], outputs, None, started,
     )
     sizes = tuple(len(p) for p in parts)
     if args.format == "json":
@@ -430,13 +414,15 @@ def cmd_dtree(args) -> int:
         "max_depth": cfg.max_depth,
         "seed": cfg.seed,
     }
-    with open(args.out, "w") as fh:
+    outputs = [args.out]
+    # --out is replaced only after --model-out has been written
+    with _atomic_output(args.out) as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    outputs = [args.out]
-    if args.model_out:
-        mlpipe.save_forest(model, args.model_out)
-        outputs.append(args.model_out)
+        if args.model_out:
+            with _atomic_output(args.model_out) as model_fh:
+                mlpipe.save_forest(model, model_fh)
+            outputs.append(args.model_out)
     _manifest(
         "dtree",
         {"features": names, "n_trees": cfg.n_trees,
@@ -474,10 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descriptors", help="compute descriptor values")
     p.add_argument("smiles", nargs="+")
-    p.add_argument("--all", action="store_true",
-                   help="all implemented descriptors (default)")
     p.add_argument("--ids", default=None,
-                   help="comma-separated descriptor names")
+                   help="comma-separated descriptor names "
+                        "(default: all implemented)")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_descriptors)
 
@@ -503,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("classification", "regression"),
                    default="classification")
     p.add_argument("--fractions", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=".")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=cmd_split)

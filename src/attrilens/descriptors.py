@@ -19,8 +19,6 @@ import functools
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .molgraph import ATOMIC_MASSES, Molecule
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "registry",
     "resolve_attribute",
     "compute",
-    "compute_features",
     "implemented_names",
 ]
 
@@ -531,18 +528,19 @@ def _num_n_plus_o(mol: Molecule) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _by_name() -> dict[str, DescriptorId]:
+    return {entry.name: entry for entry in registry()}
+
+
 def _as_descriptor_id(ident: "DescriptorId | str") -> DescriptorId:
     if isinstance(ident, DescriptorId):
         return ident
-    exact, _ = _lookup_tables()
-    hit = exact.get(_normalize(ident))
-    if hit is None or hit.name != ident:
-        # compute() is strict: only canonical names, no fuzzy repair.
-        for entry in registry():
-            if entry.name == ident:
-                return entry
+    # compute() is strict: only canonical names, no alias or fuzzy repair.
+    entry = _by_name().get(ident)
+    if entry is None:
         raise KeyError(f"unknown descriptor {ident!r}")
-    return hit
+    return entry
 
 
 def compute(mol: Molecule, ident: "DescriptorId | str") -> DescriptorValue:
@@ -558,8 +556,3 @@ def compute(mol: Molecule, ident: "DescriptorId | str") -> DescriptorValue:
     value = float(fn(mol))
     mol.descriptor_cache[entry.name] = value
     return DescriptorValue(entry.name, value)
-
-
-def compute_features(mol: Molecule, idents) -> np.ndarray:
-    """Feature vector over the given descriptors, in the given order."""
-    return np.array([compute(mol, ident).value for ident in idents], dtype=float)

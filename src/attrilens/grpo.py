@@ -49,26 +49,20 @@ class OptimConfig:
     ``clip_eps`` is the symmetric clip half-width used by ``algorithm="grpo"``;
     ``clip_eps_low``/``clip_eps_high`` form the decoupled band used by
     ``algorithm="dapo"`` (which also forces the KL coefficient to zero --
-    ``kl_beta`` is ignored there). ``use_sample_std`` switches advantage
-    normalization to the Bessel-corrected standard deviation for ablation;
-    the default population std makes two-element groups normalize exactly
-    to [-1, 1]. The ``clip_eps*=0.2/0.28``, ``kl_beta=0.04`` defaults are
-    conventional for this family of methods, not tuned values.
+    ``kl_beta`` is ignored there). The ``clip_eps*=0.2/0.28``,
+    ``kl_beta=0.04`` defaults are conventional for this family of methods,
+    not tuned values.
     """
 
-    group_size: int = 8
     clip_eps: float = 0.2
     clip_eps_low: float = 0.2
     clip_eps_high: float = 0.28
     kl_beta: float = 0.04
     algorithm: str = "grpo"
-    use_sample_std: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("grpo", "dapo"):
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
         for name in ("clip_eps", "clip_eps_low", "clip_eps_high"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -122,12 +116,12 @@ def _is_degenerate(rewards: np.ndarray) -> bool:
     return bool(rewards.max() == rewards.min())
 
 
-def compute_advantages(rewards, use_sample_std: bool = False) -> np.ndarray:
+def compute_advantages(rewards) -> np.ndarray:
     """Normalize group rewards to zero-mean, unit-std advantages.
 
-    Uses the population standard deviation (``ddof=0``) unless
-    ``use_sample_std`` asks for the Bessel-corrected one. A degenerate
-    group's advantages are all zero rather than a division blow-up.
+    Uses the population standard deviation (``ddof=0``), so two-element
+    groups normalize exactly to [-1, 1]. A degenerate group's advantages
+    are all zero rather than a division blow-up.
     """
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or r.size < 2:
@@ -139,12 +133,15 @@ def compute_advantages(rewards, use_sample_std: bool = False) -> np.ndarray:
     # Scaling by a power of two is exact, so it changes no rounding; it
     # only keeps the squares of tiny spreads from underflowing to 0.
     r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
-    return (r - r.mean()) / r.std(ddof=1 if use_sample_std else 0)
+    return (r - r.mean()) / r.std()
 
 
 def fill_advantages(group: TrajectoryGroup, cfg: OptimConfig) -> np.ndarray:
-    """Compute and store advantages on ``group``; returns them."""
-    adv = compute_advantages(group.rewards(), cfg.use_sample_std)
+    """Compute and store advantages on ``group``; returns them.
+
+    The advantages depend on the rewards alone; ``cfg`` does not change them.
+    """
+    adv = compute_advantages(group.rewards())
     group.advantages = [float(a) for a in adv]
     return adv
 

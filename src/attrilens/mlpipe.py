@@ -4,8 +4,8 @@ The interpretability pipeline: load a SMILES/label CSV, split it by
 Bemis-Murcko scaffold so no scaffold spans two splits, featurize molecules
 with implemented descriptors, train a small from-scratch random forest
 (bootstrap + Gini, axis-aligned thresholds), and score it with rank-based
-AUC. Also houses the answer-accuracy/RMSE metrics used to evaluate scored
-response corpora.
+AUC. ``top_attributes`` ranks the attributes claimed across parsed
+responses.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "MissingColumn",
     "EmptyDataset",
     "DegenerateLabels",
-    "LengthMismatch",
+    "BadRecord",
     "CsvSchema",
     "DatasetRecord",
     "LoadResult",
@@ -39,7 +39,6 @@ __all__ = [
     "load_forest",
     "auc_score",
     "eval_auc",
-    "eval_predictions",
     "top_attributes",
 ]
 
@@ -56,8 +55,8 @@ class DegenerateLabels(ValueError):
     """An operation needing both classes saw only one."""
 
 
-class LengthMismatch(ValueError):
-    """Parallel sequences of unequal length."""
+class BadRecord(ValueError):
+    """A CSV row lacks a field or carries a bad label."""
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,6 @@ class CsvSchema:
     smiles_col: str = "smiles"
     label_col: str = "label"
     task: str = CLASSIFICATION
-    dataset_name: str = ""
 
     def __post_init__(self) -> None:
         if self.task not in (CLASSIFICATION, REGRESSION):
@@ -83,8 +81,6 @@ class CsvSchema:
 class DatasetRecord:
     smiles: str
     label: bool | float
-    task: str
-    dataset_name: str
     molecule: Molecule = field(repr=False, compare=False)
 
 
@@ -109,20 +105,21 @@ def _parse_label(text: str, task: str, context: str) -> bool | float:
             return True
         if stripped in ("false", "0"):
             return False
-        raise ValueError(f"{context}: bad classification label {text!r}")
+        raise BadRecord(f"{context}: bad classification label {text!r}")
     try:
         value = float(stripped)
     except ValueError:
-        raise ValueError(f"{context}: bad regression label {text!r}") from None
+        raise BadRecord(f"{context}: bad regression label {text!r}") from None
     if not np.isfinite(value):
-        raise ValueError(f"{context}: non-finite regression label {text!r}")
+        raise BadRecord(f"{context}: non-finite regression label {text!r}")
     return value
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> LoadResult:
     """Load records, skipping (and counting) unparseable SMILES.
 
-    Bad labels are schema errors and raise immediately -- only chemistry
+    A row missing its SMILES or label field, or carrying a bad label,
+    raises :class:`BadRecord` naming ``file:line`` -- only chemistry
     failures are skippable. An entirely unusable file raises EmptyDataset.
     """
     records: list[DatasetRecord] = []
@@ -135,21 +132,21 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> LoadResult:
                 raise MissingColumn(
                     f"{path}: column {needed!r} not in {sorted(cols)}"
                 )
-        for lineno, row in enumerate(reader, start=2):
-            smiles = row[schema.smiles_col].strip()
+        for row in reader:
+            # line_num counts the blank lines DictReader skips
+            where = f"{path}:{reader.line_num}"
+            smiles, label_text = row[schema.smiles_col], row[schema.label_col]
+            # DictReader fills the fields a short row lacks with None
+            if smiles is None or label_text is None:
+                raise BadRecord(f"{where}: row is missing a field")
+            smiles = smiles.strip()
             try:
                 mol = parse_smiles(smiles)
             except SmilesError:
                 skipped += 1
                 continue
-            label = _parse_label(
-                row[schema.label_col], schema.task, f"{path}:{lineno}"
-            )
-            records.append(
-                DatasetRecord(
-                    smiles, label, schema.task, schema.dataset_name, mol
-                )
-            )
+            label = _parse_label(label_text, schema.task, where)
+            records.append(DatasetRecord(smiles, label, mol))
     if not records:
         raise EmptyDataset(f"{path}: no parseable records")
     return LoadResult(tuple(records), skipped)
@@ -163,7 +160,6 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> LoadResult:
 def scaffold_split(
     records,
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int | None = None,
 ):
     """Deterministic greedy scaffold split into (train, valid, test).
 
@@ -173,11 +169,9 @@ def scaffold_split(
     reaches ``floor((f_train + f_valid) * n)``, then test -- so no
     scaffold ever spans two splits, each split may overshoot its target
     by at most one scaffold group, and an indivisible single-scaffold
-    dataset lands entirely in train. ``seed`` is accepted for interface
-    symmetry with the other pipeline stages but unused: the greedy
-    assignment has no random choices.
+    dataset lands entirely in train. The assignment has no random
+    choices.
     """
-    del seed
     records = list(records)
     if not records:
         raise EmptyDataset("cannot split zero records")
@@ -419,7 +413,8 @@ def predict_proba(model: ForestModel, X: np.ndarray) -> np.ndarray:
 _DUMP_HEADER = "forest-dump v1"
 
 
-def save_forest(model: ForestModel, path) -> None:
+def save_forest(model: ForestModel, fh) -> None:
+    """Write the dump to the open text handle ``fh``."""
     lines = [_DUMP_HEADER]
     m = model.training_meta
     lines.append(f"meta {m['seed']} {m['n_trees']} {m['max_depth']}")
@@ -434,8 +429,7 @@ def save_forest(model: ForestModel, path) -> None:
                     f"split {tree.feature[i]} {tree.threshold[i]!r} "
                     f"{tree.left[i]} {tree.right[i]}"
                 )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 def load_forest(path) -> ForestModel:
@@ -511,43 +505,6 @@ def eval_auc(model: ForestModel, records) -> float:
     records = list(records)
     X = featurize(records, model.feature_ids)
     return auc_score(predict_proba(model, X), [r.label for r in records])
-
-
-def eval_predictions(parsed_answers, labels, task: str) -> dict:
-    """Answer-level metrics for a scored corpus.
-
-    Classification returns ``{"accuracy": percent}`` with absent answers
-    counted wrong (mirroring tags-only extraction: no tag, no credit).
-    Regression returns RMSE over records whose answer parsed to a number,
-    plus the coverage ratio; RMSE is None at zero coverage.
-    """
-    answers = list(parsed_answers)
-    labels = list(labels)
-    if len(answers) != len(labels):
-        raise LengthMismatch(
-            f"{len(answers)} answers vs {len(labels)} labels"
-        )
-    if not answers:
-        raise EmptyDataset("no predictions to score")
-    if task == CLASSIFICATION:
-        hits = sum(
-            1 for a, l in zip(answers, labels)
-            if isinstance(a, bool) and a == bool(l)
-        )
-        return {"accuracy": 100.0 * hits / len(answers)}
-    pairs = [
-        (float(a), float(l))
-        for a, l in zip(answers, labels)
-        if isinstance(a, (int, float)) and not isinstance(a, bool)
-    ]
-    coverage = len(pairs) / len(answers)
-    if not pairs:
-        return {"rmse": None, "coverage": 0.0}
-    diff = np.array([a - l for a, l in pairs])
-    return {
-        "rmse": float(np.sqrt(np.mean(diff**2))),
-        "coverage": coverage,
-    }
 
 
 def top_attributes(corpus, k: int = 10) -> list[DescriptorId]:

@@ -36,7 +36,6 @@ __all__ = [
     "UnknownElement",
     "ValenceError",
     "parse_smiles",
-    "from_graph",
     "murcko_scaffold",
     "molecule_key",
     "scaffold_key",
@@ -476,7 +475,6 @@ def _finalize(mol: Molecule) -> None:
     _assign_implicit_h(mol)
     _check_valences(mol)
     _aromatize_kekule(mol)
-    _build_adjacency(mol)  # bond orders may have changed; cheap to redo
 
 
 def _build_adjacency(mol: Molecule) -> None:
@@ -655,25 +653,25 @@ def _demote_nonring_aromatics(mol: Molecule) -> None:
             atom.aromatic = False
 
 
+def _default_h(mol: Molecule, atom: Atom) -> int:
+    """Hydrogens a bare organic-subset atom gets from its current bonds.
+
+    The smallest default valence that fits wins. An aromatic atom uses
+    degree + 1, the extra unit standing in for the delocalized pi bond;
+    otherwise aromatic bond halves round up.
+    """
+    if atom.aromatic:
+        used = mol.degree(atom.index) + 1
+    else:
+        used = int(mol.bond_order_sum(atom.index) + 0.999999)
+    valences = DEFAULT_VALENCES.get(atom.element, ())
+    return min((v - used for v in valences if v >= used), default=0)
+
+
 def _assign_implicit_h(mol: Molecule) -> None:
     for atom in mol.atoms:
-        if atom.bracket:
-            atom.implicit_h = 0  # bracket atoms carry explicit counts only
-            continue
-        valences = DEFAULT_VALENCES.get(atom.element)
-        if valences is None:
-            atom.implicit_h = 0
-            continue
-        if atom.aromatic:
-            # degree + 1 accounts for the delocalized pi contribution
-            used = mol.degree(atom.index) + 1
-            atom.implicit_h = max(0, min(v - used for v in valences if v >= used)
-                                  if any(v >= used for v in valences) else 0)
-            continue
-        order_sum = mol.bond_order_sum(atom.index)
-        needed = int(order_sum + 0.999999)  # aromatic halves round up
-        fitting = [v for v in valences if v >= needed]
-        atom.implicit_h = (fitting[0] - needed) if fitting else 0
+        # bracket atoms carry explicit counts only
+        atom.implicit_h = 0 if atom.bracket else _default_h(mol, atom)
 
 
 def _check_valences(mol: Molecule) -> None:
@@ -766,19 +764,12 @@ def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def from_graph(atoms: list[Atom], bonds: list[Bond], source: str = "") -> Molecule:
-    """Build a Molecule from pre-assembled atoms and bonds.
-
-    Atom indices must match list positions.  Implicit hydrogens of bare
-    atoms are rederived for the new bonding environment; bracket atoms keep
-    their declared counts.
-    """
-    mol = Molecule(atoms, bonds, source=source)
-    _finalize(mol)
-    return mol
-
-
 def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
+    """The finished Molecule on the atoms ``keep``, renumbered in order.
+
+    Implicit hydrogens of bare atoms are rederived for the new bonding
+    environment; bracket atoms keep their declared counts.
+    """
     index_map = {old: new for new, old in enumerate(keep)}
     atoms = []
     for old in keep:
@@ -790,7 +781,9 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
         if bond.a in index_map and bond.b in index_map:
             bonds.append(Bond(index_map[bond.a], index_map[bond.b], bond.order,
                               bond.stereo))
-    return from_graph(atoms, bonds, source=mol.source)
+    sub = Molecule(atoms, bonds, source=mol.source)
+    _finalize(sub)
+    return sub
 
 
 def murcko_scaffold(mol: Molecule) -> Molecule:
@@ -914,21 +907,9 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
             raise SmilesError(f"cannot write aromatic {sym}")
         needs_bracket = (atom.bracket or atom.formal_charge != 0
                          or atom.isotope is not None
-                         or sym not in ORGANIC_SUBSET)
-        if not needs_bracket:
-            # Would a bare token rederive the right hydrogen count?
-            if atom.aromatic:
-                used = mol.degree(atom.index) + 1
-                valences = DEFAULT_VALENCES[sym]
-                derived = max(0, min((v - used for v in valences if v >= used),
-                                     default=0))
-            else:
-                order_sum = mol.bond_order_sum(atom.index)
-                needed = int(order_sum + 0.999999)
-                fitting = [v for v in DEFAULT_VALENCES[sym] if v >= needed]
-                derived = (fitting[0] - needed) if fitting else 0
-            if derived != atom.total_h:
-                needs_bracket = True
+                         or sym not in ORGANIC_SUBSET
+                         # would a bare token rederive the hydrogen count?
+                         or _default_h(mol, atom) != atom.total_h)
         if not needs_bracket:
             return lower
         parts = ["["]

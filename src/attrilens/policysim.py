@@ -19,15 +19,13 @@ parameters shape the gradient).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grpo
-from ._data import resolve_range_table
 from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
 from .response import (
@@ -433,7 +431,11 @@ def load_sim_dataset(path) -> list[SimQuery]:
                 f"{path}: expected columns {sorted(required)}, "
                 f"got {reader.fieldnames}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # counts the blank lines it skips
+            # DictReader fills the fields a short row lacks with None
+            if any(row[key] is None for key in required):
+                raise ConfigError(f"{path}:{lineno}: row is missing a field")
             if row["task"] != CLASSIFICATION:
                 raise ConfigError(
                     f"{path}:{lineno}: simulator datasets must be "
@@ -483,8 +485,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError("temperature must be finite and > 0")
+        T = self.temperature
+        # every factor is evaluated at logit/T, so 1/T must be finite too
+        if not (math.isfinite(T) and T > 0 and math.isfinite(1.0 / T)):
+            raise ConfigError(
+                "temperature must be finite and > 0, with a finite reciprocal"
+            )
         if not (math.isfinite(self.learning_rate)
                 and self.learning_rate > 0):
             raise ConfigError("learning_rate must be finite and > 0")
@@ -497,9 +503,7 @@ class TrainConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
 
     def optim(self) -> grpo.OptimConfig:
-        return grpo.OptimConfig(
-            group_size=self.group_size, algorithm=self.algorithm
-        )
+        return grpo.OptimConfig(algorithm=self.algorithm)
 
 
 @dataclass
@@ -549,7 +553,7 @@ def train(
             raise ConfigError("no dataset given")
         dataset = load_sim_dataset(config.dataset)
     if table is None:
-        table = load_range_table(resolve_range_table(config.range_table))
+        table = load_range_table(config.range_table)
     cfg = config.optim()
     T = config.temperature
     if policy is None:

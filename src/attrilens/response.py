@@ -1,4 +1,4 @@
-"""Prompt rendering and strict response parsing.
+"""Strict response parsing and canonical response rendering.
 
 The training prompt instructs the model to answer in three XML-ish sections:
 ``<think>`` free-form reasoning, ``<name>`` a comma-separated list of
@@ -31,34 +31,13 @@ __all__ = [
     "PromptSpec",
     "AttributeClaim",
     "ParsedResponse",
-    "render_prompt",
     "render_response",
     "parse_response",
     "parse_claims",
-    "PROMPT_TEMPLATE",
 ]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
-
-# The fine-tuning prompt, verbatim. {task} is the literal word
-# "classification" or "regression".
-PROMPT_TEMPLATE = (
-    "System: Your task is to predict the property of the given molecule. "
-    "You must write your response using the following strict XML format: "
-    "<think> Step-by-step reasoning with consideration on relevant attributes "
-    "can be calculated using RDKit. For each attribute, provide its estimated "
-    "value, and explain whether it promotes (improve) or inhibits (not improve) "
-    "the target property. </think>, "
-    "<name> List the attributes you used, each followed by \": promotes\" or "
-    "\": inhibits\", separated by commas. For example: attribute A: promotes, "
-    "attribute B: promotes, attribute C: inhibits. </name>, "
-    "<answer> The final answer (e.g., true/false or specific values) based on "
-    "your overall reasoning. </answer>. "
-    "User: The task is {task}, the molecule is {smiles}, and the property to "
-    "be considered is {target}. "
-    "Assistant:"
-)
 
 
 @dataclass(frozen=True)
@@ -84,12 +63,6 @@ class ParsedResponse:
     claims: tuple[AttributeClaim, ...] | None
     answer: bool | float | None
     format_ok: bool
-    token_count: int
-
-
-def render_prompt(spec: PromptSpec) -> str:
-    return PROMPT_TEMPLATE.format(task=spec.task, smiles=spec.smiles,
-                                  target=spec.target)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +153,6 @@ def parse_response(text: str, task: str = CLASSIFICATION) -> ParsedResponse:
     """
     if not isinstance(text, str):
         text = str(text)
-    token_count = len(text.split())
 
     think, t_open, t_close, t_pos = _extract(text, "think")
     name_raw, n_open, n_close, n_pos = _extract(text, "name")
@@ -213,7 +185,6 @@ def parse_response(text: str, task: str = CLASSIFICATION) -> ParsedResponse:
         claims=claims,
         answer=answer,
         format_ok=bool(format_ok),
-        token_count=token_count,
     )
 
 

@@ -367,6 +367,17 @@ def test_train_sim_missing_dataset_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_train_sim_short_dataset_row_names_line(capsys, tmp_path):
+    data = tmp_path / "sim.csv"
+    data.write_text("smiles,target,task,label\n"
+                    "CCO,BBBP,classification,True\n\n"
+                    "CCN,BBBP,classification\n")
+    code, _, err = run(capsys, "train-sim", "--dataset", str(data),
+                       "--steps", "1", "--out", str(tmp_path / "c.csv"))
+    assert code == 3
+    assert f"{data}:4:" in err
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------
@@ -390,6 +401,21 @@ def test_split_missing_column_exit_2(capsys, tmp_path):
     bad.write_text("structure,label\nCCO,True\n")
     code, _, _ = run(capsys, "split", str(bad), "--outdir", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("command,out_flag",
+                         [("split", "--outdir"), ("dtree", "--out")])
+@pytest.mark.parametrize("row", ["CCN", "CCN,maybe"],
+                         ids=["short-row", "bad-label"])
+def test_csv_bad_row_exit_2_names_line(capsys, tmp_path, command, out_flag,
+                                       row):
+    bad = tmp_path / "bad.csv"
+    # the blank line counts: the message names the row's line in the file
+    bad.write_text(f"smiles,label\nCCO,1\n\n{row}\n")
+    code, _, err = run(capsys, command, str(bad),
+                       out_flag, str(tmp_path / "out"))
+    assert code == 2
+    assert f"{bad}:4:" in err
 
 
 def test_split_bad_fractions_exit_3(capsys, tmp_path):
@@ -457,3 +483,13 @@ def test_dtree_degenerate_labels_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "dtree", str(bad),
                      "--out", str(tmp_path / "m.json"))
     assert code == 2
+
+
+def test_dtree_failed_model_out_leaves_no_metrics(capsys, tmp_path):
+    code, _, _ = run(
+        capsys, "dtree", str(data_path("bbbp_synthetic.csv")),
+        "--n-trees", "2", "--out", str(tmp_path / "m.json"),
+        "--model-out", str(tmp_path / "no_such_dir" / "forest.txt"),
+    )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

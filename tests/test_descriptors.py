@@ -13,7 +13,6 @@ from attrilens.descriptors import (
     DescriptorValue,
     Unimplemented,
     compute,
-    compute_features,
     implemented_names,
     registry,
     resolve_attribute,
@@ -254,13 +253,15 @@ def test_compute_unimplemented_raises():
 def test_compute_unknown_name_raises():
     with pytest.raises(KeyError):
         compute(parse_smiles("CCO"), "NotADescriptor")
+    # compute() takes canonical names only: an alias is not repaired
+    with pytest.raises(KeyError):
+        compute(parse_smiles("CCO"), "logp")
 
 
 def test_compute_features_order_and_shape():
     mol = parse_smiles("CCO")
     names = ["MolWt", "NumHDonors", "RingCount"]
-    feats = compute_features(mol, names)
-    assert feats.shape == (3,)
+    feats = [compute(mol, name).value for name in names]
     assert feats[0] == pytest.approx(46.069, abs=0.01)
     assert feats[1] == 1.0
     assert feats[2] == 0.0

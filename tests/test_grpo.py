@@ -54,7 +54,7 @@ def test_config_defaults_and_bands():
     "kwargs",
     [
         {"algorithm": "ppo"},
-        {"group_size": 1},
+        {"clip_eps_low": 1.0},
         {"clip_eps": 0.0},
         {"clip_eps": 1.0},
         {"clip_eps_high": -0.1},
@@ -91,11 +91,6 @@ def test_tiny_spread_is_not_degenerate(spread):
     # subnormal case would underflow a naive variance to 0
     assert np.array_equal(compute_advantages([0.0, spread]), [-1.0, 1.0])
     assert dapo_filter([_group([0.0, spread])]) != []
-
-
-def test_sample_std_variant():
-    adv = compute_advantages([0.0, 2.0], use_sample_std=True)
-    assert np.allclose(adv, [-1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_single_reward_rejected():

@@ -17,11 +17,9 @@ from attrilens.mlpipe import (
     DegenerateLabels,
     EmptyDataset,
     ForestConfig,
-    LengthMismatch,
     MissingColumn,
     auc_score,
     eval_auc,
-    eval_predictions,
     featurize,
     load_csv,
     load_forest,
@@ -239,7 +237,8 @@ def test_forest_save_load_roundtrip(tmp_path):
     model = train_forest(records, ["MolWt", "HeavyAtomCount"],
                          ForestConfig(n_trees=8, max_depth=3, seed=2))
     path = tmp_path / "model.txt"
-    save_forest(model, path)
+    with open(path, "w") as fh:
+        save_forest(model, fh)
     back = load_forest(path)
     X = featurize(records, ["MolWt", "HeavyAtomCount"])
     assert np.array_equal(predict_proba(model, X), predict_proba(back, X))
@@ -337,30 +336,8 @@ def test_import_does_not_load_scipy():
 
 
 # ---------------------------------------------------------------------------
-# prediction metrics and attribute tallies
+# attribute tallies
 # ---------------------------------------------------------------------------
-
-
-def test_eval_predictions_classification():
-    out = eval_predictions([True, False, None, True],
-                           [True, True, True, True], "classification")
-    assert out == {"accuracy": 50.0}
-
-
-def test_eval_predictions_regression():
-    out = eval_predictions([1.0, None, 3.0], [2.0, 2.0, 3.0], "regression")
-    assert out["coverage"] == pytest.approx(2 / 3)
-    assert out["rmse"] == pytest.approx(np.sqrt(0.5))
-
-
-def test_eval_predictions_zero_coverage():
-    out = eval_predictions([None, None], [1.0, 2.0], "regression")
-    assert out == {"rmse": None, "coverage": 0.0}
-
-
-def test_eval_predictions_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        eval_predictions([True], [True, False], "classification")
 
 
 def test_top_attributes_counts_and_ties():

@@ -458,6 +458,8 @@ def test_dataset_errors(tmp_path, content):
         {"temperature": 0.0},
         {"temperature": math.inf},
         {"temperature": math.nan},
+        {"temperature": 1e-320},
+        {"temperature": 5e-324},
         {"learning_rate": -5.0},
         {"learning_rate": 0.0},
         {"learning_rate": math.nan},
@@ -476,7 +478,6 @@ def test_train_config_optim_mapping():
     cfg = TrainConfig(algorithm="dapo", group_size=4)
     optim = cfg.optim()
     assert optim.algorithm == "dapo"
-    assert optim.group_size == 4
 
 
 def test_train_requires_dataset():
