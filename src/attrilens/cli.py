@@ -328,11 +328,13 @@ def cmd_train_sim(args) -> int:
     if not os.path.exists(kwargs["dataset"]):
         raise InputError(f"dataset not found: {kwargs['dataset']}")
     config = TrainConfig(**kwargs)
-    try:
-        curves, _policy = policysim.train(config)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from exc
-    policysim.export_curves(curves, args.out)
+    # --out is opened before training, so an unwritable path fails at once
+    with _atomic_output(args.out) as fh:
+        try:
+            curves, _policy = policysim.train(config)
+        except FileNotFoundError as exc:
+            raise ConfigError(str(exc)) from exc
+        policysim.export_curves(curves, fh)
     cfg_dict = asdict(config)
     cfg_dict["count_bounds"] = list(config.count_bounds)
     _manifest("train-sim", cfg_dict, [config.dataset], [args.out],

@@ -507,10 +507,14 @@ def _label_components(mol: Molecule) -> None:
 def _perceive_rings(mol: Molecule) -> None:
     """Fill ``mol.rings`` with an SSSR-sized basis of shortest cycles.
 
-    Candidates are the shortest cycle through every bond (found by BFS with
-    that bond removed) plus the fundamental cycles of a spanning forest as a
-    completeness fallback; a greedy pass keeps candidates that are linearly
-    independent over GF(2) in bond space until the cyclomatic number is met.
+    The bonds of the fundamental cycles of a breadth-first spanning forest
+    are exactly the cycle bonds.  Candidates are those fundamental cycles
+    plus, for every cycle bond, the shortest cycle through it, found by BFS
+    with that bond removed over cycle bonds only: no cycle crosses a bridge
+    and the atoms beyond one are dead ends of the search, so each path is
+    the one a search over all bonds finds.  A greedy pass over the
+    candidates in (size, atoms) order keeps those linearly independent over
+    GF(2) in bond space until the cyclomatic number is met.
     """
     n_rings = len(mol.bonds) - len(mol.atoms) + mol.n_components
     mol.rings = []
@@ -520,66 +524,67 @@ def _perceive_rings(mol: Molecule) -> None:
     if n_rings <= 0:
         return
 
+    parent: dict[int, tuple[int, int]] = {}  # atom -> (tree parent, tree bond)
+    depth = [-1] * len(mol.atoms)
+    for start in range(len(mol.atoms)):
+        if depth[start] >= 0:
+            continue
+        depth[start] = 0
+        queue = [start]
+        for i in queue:
+            for j, bi in mol._adj[i]:
+                if depth[j] < 0:
+                    depth[j] = depth[i] + 1
+                    parent[j] = (i, bi)
+                    queue.append(j)
+
     candidates: list[tuple[int, tuple[int, ...], int]] = []  # (size, atoms, bond mask)
-    seen_masks: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
 
     def record(path: list[int]) -> None:
+        lowest = path.index(min(path))
+        rotated = path[lowest:] + path[:lowest]
+        if len(rotated) > 2 and rotated[1] > rotated[-1]:
+            rotated = [rotated[0]] + rotated[1:][::-1]
+        atoms = tuple(rotated)
+        if atoms in seen:
+            return
+        seen.add(atoms)
         mask = 0
-        ok = True
         for k in range(len(path)):
-            bi = _bond_between(mol, path[k], path[(k + 1) % len(path)])
-            if bi is None:
-                ok = False
-                break
-            mask |= 1 << bi
-        if ok and mask not in seen_masks:
-            seen_masks.add(mask)
-            lowest = min(range(len(path)), key=lambda k: path[k])
-            rotated = path[lowest:] + path[:lowest]
-            if len(rotated) > 2 and rotated[1] > rotated[-1]:
-                rotated = [rotated[0]] + rotated[1:][::-1]
-            candidates.append((len(path), tuple(rotated), mask))
+            mask |= 1 << _bond_between(mol, path[k], path[(k + 1) % len(path)])
+        candidates.append((len(path), atoms, mask))
 
-    for skip_bi, bond in enumerate(mol.bonds):
-        path = _shortest_path_avoiding(mol, bond.a, bond.b, skip_bi)
-        if path is not None:
-            record(path)
-
-    # Spanning-forest fundamental cycles guarantee a full basis even if some
-    # shortest-cycle search failed (it cannot for connected ring systems,
-    # but completeness is cheap to keep).
-    parent: dict[int, tuple[int, int]] = {}
-    visited = [False] * len(mol.atoms)
-    tree_bonds: set[int] = set()
-    for start in range(len(mol.atoms)):
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop(0)
-            for j, bi in mol._adj[i]:
-                if not visited[j]:
-                    visited[j] = True
-                    parent[j] = (i, bi)
-                    tree_bonds.add(bi)
-                    queue.append(j)
+    tree_bonds = {bi for _, bi in parent.values()}
+    cycle_bonds: set[int] = set()
     for bi, bond in enumerate(mol.bonds):
         if bi in tree_bonds:
             continue
-        path_a = _root_path(parent, bond.a)
-        path_b = _root_path(parent, bond.b)
-        common = set(path_a) & set(path_b)
-        cut_a = next(k for k, v in enumerate(path_a) if v in common)
-        anchor = path_a[cut_a]
-        cut_b = path_b.index(anchor)
-        cycle = path_a[:cut_a + 1] + path_b[:cut_b][::-1]
+        cycle_bonds.add(bi)
+        a, b = bond.a, bond.b
+        side_a, side_b = [a], [b]
+        while a != b:  # climb to the lowest common ancestor
+            if depth[a] >= depth[b]:
+                a, up = parent[a]
+                side_a.append(a)
+            else:
+                b, up = parent[b]
+                side_b.append(b)
+            cycle_bonds.add(up)
+        cycle = side_a + side_b[-2::-1]
         if len(cycle) >= 3:
             record(cycle)
+
+    ring_adj = [[(j, bi) for j, bi in nbrs if bi in cycle_bonds]
+                for nbrs in mol._adj]
+    for bi in cycle_bonds:
+        bond = mol.bonds[bi]
+        record(_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     basis: list[int] = []
     rings: list[tuple[int, ...]] = []
+    ring_mask = 0
     for _, ring_atoms, mask in candidates:
         reduced = mask
         for b in basis:
@@ -588,18 +593,16 @@ def _perceive_rings(mol: Molecule) -> None:
             basis.append(reduced)
             basis.sort(reverse=True)
             rings.append(ring_atoms)
+            ring_mask |= mask
             if len(rings) == n_rings:
                 break
 
     mol.rings = rings
+    mol._ring_bonds = {bi for bi in cycle_bonds if ring_mask >> bi & 1}
     for ring in rings:
         mol._ring_atoms.update(ring)
         if len(ring) == 3:
             mol._ring3_atoms.update(ring)
-        for k in range(len(ring)):
-            bi = _bond_between(mol, ring[k], ring[(k + 1) % len(ring)])
-            if bi is not None:
-                mol._ring_bonds.add(bi)
 
 
 def _bond_between(mol: Molecule, i: int, j: int) -> int | None:
@@ -609,14 +612,14 @@ def _bond_between(mol: Molecule, i: int, j: int) -> int | None:
     return None
 
 
-def _shortest_path_avoiding(mol: Molecule, src: int, dst: int,
-                            skip_bond: int) -> list[int] | None:
+def _shortest_path_avoiding(adj: list[list[tuple[int, int]]], src: int,
+                            dst: int, skip_bond: int) -> list[int] | None:
     prev = {src: -1}
     queue = [src]
     while queue:
         nxt: list[int] = []
         for i in queue:
-            for j, bi in mol._adj[i]:
+            for j, bi in adj[i]:
                 if bi == skip_bond or j in prev:
                     continue
                 prev[j] = i
@@ -628,13 +631,6 @@ def _shortest_path_avoiding(mol: Molecule, src: int, dst: int,
                 nxt.append(j)
         queue = nxt
     return None
-
-
-def _root_path(parent: dict[int, tuple[int, int]], node: int) -> list[int]:
-    path = [node]
-    while path[-1] in parent:
-        path.append(parent[path[-1]][0])
-    return path
 
 
 def _demote_nonring_aromatics(mol: Molecule) -> None:
@@ -795,16 +791,16 @@ def murcko_scaffold(mol: Molecule) -> Molecule:
     """
     alive = [True] * len(mol.atoms)
     degree = [mol.degree(i) for i in range(len(mol.atoms))]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(mol.atoms)):
-            if alive[i] and degree[i] <= 1 and not mol.atom_in_ring(i):
-                alive[i] = False
-                changed = True
-                for j, _ in mol._adj[i]:
-                    if alive[j]:
-                        degree[j] -= 1
+    leaves = [i for i in range(len(mol.atoms))
+              if degree[i] <= 1 and not mol.atom_in_ring(i)]
+    while leaves:
+        i = leaves.pop()
+        alive[i] = False
+        for j, _ in mol._adj[i]:
+            if alive[j]:
+                degree[j] -= 1
+                if degree[j] == 1 and not mol.atom_in_ring(j):
+                    leaves.append(j)
     keep = [i for i in range(len(mol.atoms)) if alive[i]]
     return _subgraph(mol, keep)
 

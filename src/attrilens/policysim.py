@@ -624,29 +624,26 @@ def train(
     return curves, policy
 
 
-def export_curves(curves: TrainingCurves, path) -> None:
-    """Write the curves as CSV: step,format,correct,count,rational,total,objective."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "format", "correct", "count", "rational",
-                 "total", "objective"]
-            )
-            for i, step in enumerate(curves.steps):
-                writer.writerow(
-                    [int(step)]
-                    + [
-                        repr(float(series[i]))
-                        for series in (
-                            curves.format,
-                            curves.correct,
-                            curves.count,
-                            curves.rational,
-                            curves.total,
-                            curves.objective,
-                        )
-                    ]
+def export_curves(curves: TrainingCurves, fh) -> None:
+    """Write the curves as CSV to the open text handle ``fh``:
+    step,format,correct,count,rational,total,objective."""
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["step", "format", "correct", "count", "rational", "total",
+         "objective"]
+    )
+    for i, step in enumerate(curves.steps):
+        writer.writerow(
+            [int(step)]
+            + [
+                repr(float(series[i]))
+                for series in (
+                    curves.format,
+                    curves.correct,
+                    curves.count,
+                    curves.rational,
+                    curves.total,
+                    curves.objective,
                 )
-    except OSError as exc:
-        raise OSError(f"cannot write curves to {path}: {exc}") from exc
+            ]
+        )

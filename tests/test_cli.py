@@ -367,6 +367,29 @@ def test_train_sim_missing_dataset_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_train_sim_unwritable_out_fails_before_training(capsys, tmp_path,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.policysim, "train",
+                        lambda *a, **k: calls.append(a))
+    code, _, _ = run(capsys, "train-sim", "--steps", "1000",
+                     "--out", str(tmp_path / "no_such_dir" / "c.csv"))
+    assert code == 2
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_sim_failure_leaves_out_untouched(capsys, tmp_path):
+    out = tmp_path / "c.csv"
+    out.write_text("earlier curves\n")
+    code, _, _ = run(capsys, "train-sim", "--steps", "1",
+                     "--table", str(tmp_path / "no_such_table.tsv"),
+                     "--out", str(out))
+    assert code == 3
+    assert out.read_text() == "earlier curves\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+
 def test_train_sim_short_dataset_row_names_line(capsys, tmp_path):
     data = tmp_path / "sim.csv"
     data.write_text("smiles,target,task,label\n"

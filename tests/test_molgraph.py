@@ -1,10 +1,15 @@
 """SMILES parsing, ring perception, scaffolds, and graph invariants."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrilens import molgraph
+from attrilens._data import data_path
 from attrilens.molgraph import (
     EMPTY_SCAFFOLD_KEY,
     SmilesError,
@@ -180,6 +185,159 @@ def test_ring_membership_queries():
     assert not mol.atom_in_3ring(3)
 
 
+def _bundled_smiles():
+    """Every distinct SMILES of the bundled CSVs and case studies."""
+    smiles = []
+    for name in ("bace_synthetic.csv", "bbbp_synthetic.csv"):
+        with open(data_path(name)) as fh:
+            smiles += [row["smiles"] for row in csv.DictReader(fh)]
+    for line in data_path("case_studies.jsonl").read_text().splitlines():
+        if line.strip():
+            smiles.append(json.loads(line)["smiles"])
+    return list(dict.fromkeys(smiles))
+
+
+# Parallel bonds, spiro, tetrahedrane, cubane, a cage whose rings change if
+# the search through its last bond is skipped, 300 rings, a long chain.
+_LARGE_CASES = ["C12C12", "C1CC11CC1", "C12C3C1C23", "C12C3C4C1C5C2C3C45",
+                "C(C12)C(C34)C(C54)C2C5C13", "C1CCCCC1" * 300,
+                "C1CCCCC1" + "C" * 2000]
+
+
+def _reference_shortest_path(mol, src, dst, skip_bond):
+    prev = {src: -1}
+    queue = [src]
+    while queue:
+        nxt = []
+        for i in queue:
+            for j, bi in mol._adj[i]:
+                if bi == skip_bond or j in prev:
+                    continue
+                prev[j] = i
+                if j == dst:
+                    path = [j]
+                    while path[-1] != src:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                nxt.append(j)
+        queue = nxt
+    return None
+
+
+def _reference_perceive_rings(mol):
+    """Reference: the shortest cycle through every bond, bridges included,
+    plus the spanning-forest fundamental cycles, deduplicated by bond mask
+    and reduced by the same greedy GF(2) pass."""
+    n_rings = len(mol.bonds) - len(mol.atoms) + mol.n_components
+    mol.rings, mol._ring_bonds = [], set()
+    mol._ring_atoms, mol._ring3_atoms = set(), set()
+    if n_rings <= 0:
+        return
+    bond_between = molgraph._bond_between
+    candidates, seen_masks = [], set()
+
+    def record(path):
+        mask = 0
+        for k in range(len(path)):
+            mask |= 1 << bond_between(mol, path[k], path[(k + 1) % len(path)])
+        if mask not in seen_masks:
+            seen_masks.add(mask)
+            lowest = min(range(len(path)), key=lambda k: path[k])
+            rotated = path[lowest:] + path[:lowest]
+            if len(rotated) > 2 and rotated[1] > rotated[-1]:
+                rotated = [rotated[0]] + rotated[1:][::-1]
+            candidates.append((len(path), tuple(rotated), mask))
+
+    for skip_bi, bond in enumerate(mol.bonds):
+        path = _reference_shortest_path(mol, bond.a, bond.b, skip_bi)
+        if path is not None:
+            record(path)
+    parent, visited, tree_bonds = {}, [False] * len(mol.atoms), set()
+    for start in range(len(mol.atoms)):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = [start]
+        while queue:
+            i = queue.pop(0)
+            for j, bi in mol._adj[i]:
+                if not visited[j]:
+                    visited[j] = True
+                    parent[j] = (i, bi)
+                    tree_bonds.add(bi)
+                    queue.append(j)
+
+    def root_path(node):
+        path = [node]
+        while path[-1] in parent:
+            path.append(parent[path[-1]][0])
+        return path
+
+    for bi, bond in enumerate(mol.bonds):
+        if bi in tree_bonds:
+            continue
+        path_a, path_b = root_path(bond.a), root_path(bond.b)
+        common = set(path_a) & set(path_b)
+        cut_a = next(k for k, v in enumerate(path_a) if v in common)
+        cut_b = path_b.index(path_a[cut_a])
+        cycle = path_a[:cut_a + 1] + path_b[:cut_b][::-1]
+        if len(cycle) >= 3:
+            record(cycle)
+
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    basis, rings = [], []
+    for _, ring_atoms, mask in candidates:
+        reduced = mask
+        for b in basis:
+            reduced = min(reduced, reduced ^ b)
+        if reduced:
+            basis.append(reduced)
+            basis.sort(reverse=True)
+            rings.append(ring_atoms)
+            if len(rings) == n_rings:
+                break
+    mol.rings = rings
+    for ring in rings:
+        mol._ring_atoms.update(ring)
+        if len(ring) == 3:
+            mol._ring3_atoms.update(ring)
+        for k in range(len(ring)):
+            mol._ring_bonds.add(bond_between(mol, ring[k], ring[(k + 1) % len(ring)]))
+
+
+def _ring_state(mol):
+    return (mol.rings, mol._ring_bonds, mol._ring_atoms, mol._ring3_atoms,
+            [a.aromatic for a in mol.atoms], [b.order for b in mol.bonds])
+
+
+def test_ring_perception_matches_all_bonds_search(monkeypatch):
+    inputs = []
+    for text in _bundled_smiles():
+        mol = parse_smiles(text)
+        inputs.append(text)
+        inputs += [write_smiles(mol, rng=np.random.default_rng(seed))
+                   for seed in range(3)]
+    inputs += _LARGE_CASES
+    ours = [_ring_state(parse_smiles(text)) for text in inputs]
+    monkeypatch.setattr(molgraph, "_perceive_rings", _reference_perceive_rings)
+    for text, state in zip(inputs, ours):
+        assert state == _ring_state(parse_smiles(text)), text
+
+
+def test_ring_perception_searches_only_cycle_bonds(monkeypatch):
+    calls = []
+    search = molgraph._shortest_path_avoiding
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(molgraph, "_shortest_path_avoiding", counted)
+    mol = parse_smiles("C1CCCCC1" + "C" * 2000)
+    assert len(calls) == 6
+    assert mol.rings == [(0, 1, 2, 3, 4, 5)]
+
+
 # ---------------------------------------------------------------------------
 # scaffolds
 # ---------------------------------------------------------------------------
@@ -209,6 +367,33 @@ def test_substituents_do_not_change_scaffold():
 def test_linker_retained_between_rings():
     mol = parse_smiles("c1ccccc1CCc1ccccc1")
     assert murcko_scaffold(mol).heavy_atom_count == 14
+
+
+def _reference_scaffold_atoms(mol):
+    """Reference: rescan every atom until a pass prunes nothing."""
+    alive = [True] * len(mol.atoms)
+    degree = [mol.degree(i) for i in range(len(mol.atoms))]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(mol.atoms)):
+            if alive[i] and degree[i] <= 1 and not mol.atom_in_ring(i):
+                alive[i] = False
+                changed = True
+                for j, _ in mol._adj[i]:
+                    if alive[j]:
+                        degree[j] -= 1
+    return [i for i in range(len(mol.atoms)) if alive[i]]
+
+
+def test_scaffold_keeps_the_atoms_of_the_rescanning_prune(monkeypatch):
+    kept = []
+    monkeypatch.setattr(molgraph, "_subgraph",
+                        lambda mol, keep: kept.append(keep))
+    for text in _bundled_smiles() + _LARGE_CASES + ["CCCO", "CCO.CC"]:
+        mol = parse_smiles(text)
+        murcko_scaffold(mol)
+        assert kept.pop() == _reference_scaffold_atoms(mol), text
 
 
 def test_different_ring_systems_distinct_keys():

@@ -536,7 +536,8 @@ def test_train_rejects_mismatched_policy(tiny_dataset):
 def test_export_curves_roundtrip(tmp_path, tiny_dataset):
     curves, _ = train(TrainConfig(steps=3, seed=6), dataset=tiny_dataset)
     path = tmp_path / "curves.csv"
-    export_curves(curves, path)
+    with open(path, "w", newline="") as fh:
+        export_curves(curves, fh)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,format,correct,count,rational,total,objective"
     assert len(lines) == 4
