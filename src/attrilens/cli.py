@@ -69,9 +69,13 @@ _INPUT_ERRORS = (
 @contextlib.contextmanager
 def _atomic_output(target):
     """Write to a temp file beside ``target``; it replaces ``target`` only
-    if the block finishes, and is removed on any error."""
+    if the block finishes, and is removed on any error.  A ``target`` that
+    cannot be written raises :class:`InputError` naming it."""
     directory = os.path.dirname(os.path.abspath(target)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             # mkstemp creates the file 0600; give it the mode open() would.
@@ -79,7 +83,10 @@ def _atomic_output(target):
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             yield fh
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise InputError(f"cannot write {target}: {exc.strerror}") from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -111,8 +111,7 @@ def _levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-_SIMILARITY_FLOOR = 0.80
-# The floor as an exact rational (4/5): a candidate passes iff
+# The similarity floor 0.80 as an exact rational (4/5): a candidate passes iff
 # (denom - dist) / denom >= 4/5, i.e. 5 * dist <= denom. Checking it in
 # integers keeps borderline names (similarity exactly 0.80) inside the
 # match set, where float rounding of 1 - dist/denom would drop them.
@@ -475,17 +474,9 @@ def _ring_count(mol: Molecule) -> float:
 
 @_calculator("NumAromaticRings")
 def _num_aromatic_rings(mol: Molecule) -> float:
-    count = 0
-    for ring in mol.rings:
-        if all(mol.atoms[i].aromatic for i in ring):
-            closed = all(
-                any(j == ring[(k + 1) % len(ring)] and bond.order == "aromatic"
-                    for j, bond in mol.neighbors(ring[k]))
-                for k in range(len(ring))
-            )
-            if closed:
-                count += 1
-    return float(count)
+    # Aromatic bonds join aromatic atoms, so such a ring's atoms are too.
+    return float(sum(all(mol.bonds[bi].order == "aromatic" for bi in bonds)
+                     for bonds in mol.ring_bond_ids))
 
 
 @_calculator("FractionCSP3")

@@ -136,11 +136,8 @@ def compute_advantages(rewards) -> np.ndarray:
     return (r - r.mean()) / r.std()
 
 
-def fill_advantages(group: TrajectoryGroup, cfg: OptimConfig) -> np.ndarray:
-    """Compute and store advantages on ``group``; returns them.
-
-    The advantages depend on the rewards alone; ``cfg`` does not change them.
-    """
+def fill_advantages(group: TrajectoryGroup) -> np.ndarray:
+    """Compute and store advantages on ``group``; returns them."""
     adv = compute_advantages(group.rewards())
     group.advantages = [float(a) for a in adv]
     return adv

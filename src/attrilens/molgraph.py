@@ -2,7 +2,8 @@
 
 The parser covers the organic subset, bracket atoms (isotope, chirality,
 explicit hydrogens, charge, atom class), ring-closure labels including the
-``%nn`` form, branches, and dot-separated components.  Stereo markers are
+``%nn`` form, branches, and dot-separated components.  A ring closure may
+not duplicate an existing bond (``C1C1`` is rejected).  Stereo markers are
 accepted and recorded but play no further role: every downstream consumer
 (descriptors, scaffolds) is stereochemistry-blind.
 
@@ -155,20 +156,22 @@ class Molecule:
     """Immutable-by-convention molecular graph.
 
     ``rings`` holds a smallest-set-of-smallest-rings-sized cycle basis; each
-    ring is a tuple of atom indices in traversal order.  Mutating a finished
-    Molecule is unsupported -- derived fields (adjacency, ring membership,
-    cached descriptor values) would go stale.
+    ring is a tuple of atom indices in traversal order, and the matching
+    entry of ``ring_bond_ids`` holds its bond indices, sorted.  Mutating a
+    finished Molecule is unsupported -- derived fields (adjacency, ring
+    membership, cached descriptor values) would go stale.
     """
 
-    __slots__ = ("atoms", "bonds", "rings", "source", "component_of",
-                 "n_components", "_adj", "_ring_bonds", "_ring_atoms",
-                 "_ring3_atoms", "descriptor_cache")
+    __slots__ = ("atoms", "bonds", "rings", "ring_bond_ids", "source",
+                 "component_of", "n_components", "_adj", "_ring_bonds",
+                 "_ring_atoms", "_ring3_atoms", "descriptor_cache")
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], source: str = ""):
         self.atoms = atoms
         self.bonds = bonds
         self.source = source
         self.rings: list[tuple[int, ...]] = []
+        self.ring_bond_ids: list[tuple[int, ...]] = []
         self.component_of: list[int] = []
         self.n_components = 0
         self._adj: list[list[tuple[int, int]]] = []
@@ -469,8 +472,7 @@ def _finalize(mol: Molecule) -> None:
     of bare atoms are always rederived.
     """
     _build_adjacency(mol)
-    _label_components(mol)
-    _perceive_rings(mol)
+    _perceive_rings(mol, *_spanning_forest(mol))
     _demote_nonring_aromatics(mol)
     _assign_implicit_h(mol)
     _check_valences(mol)
@@ -485,84 +487,80 @@ def _build_adjacency(mol: Molecule) -> None:
     mol._adj = adj
 
 
-def _label_components(mol: Molecule) -> None:
+def _spanning_forest(mol: Molecule) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Label the components from one breadth-first spanning forest.
+
+    Returns the forest as (atom -> (tree parent, tree bond), depth per atom).
+    """
     label = [-1] * len(mol.atoms)
+    depth = [0] * len(mol.atoms)
+    parent: dict[int, tuple[int, int]] = {}
     comp = 0
     for start in range(len(mol.atoms)):
         if label[start] >= 0:
             continue
-        stack = [start]
         label[start] = comp
-        while stack:
-            i = stack.pop()
-            for j, _ in mol._adj[i]:
-                if label[j] < 0:
-                    label[j] = comp
-                    stack.append(j)
-        comp += 1
-    mol.component_of = label
-    mol.n_components = comp
-
-
-def _perceive_rings(mol: Molecule) -> None:
-    """Fill ``mol.rings`` with an SSSR-sized basis of shortest cycles.
-
-    The bonds of the fundamental cycles of a breadth-first spanning forest
-    are exactly the cycle bonds.  Candidates are those fundamental cycles
-    plus, for every cycle bond, the shortest cycle through it, found by BFS
-    with that bond removed over cycle bonds only: no cycle crosses a bridge
-    and the atoms beyond one are dead ends of the search, so each path is
-    the one a search over all bonds finds.  A greedy pass over the
-    candidates in (size, atoms) order keeps those linearly independent over
-    GF(2) in bond space until the cyclomatic number is met.
-    """
-    n_rings = len(mol.bonds) - len(mol.atoms) + mol.n_components
-    mol.rings = []
-    mol._ring_bonds = set()
-    mol._ring_atoms = set()
-    mol._ring3_atoms = set()
-    if n_rings <= 0:
-        return
-
-    parent: dict[int, tuple[int, int]] = {}  # atom -> (tree parent, tree bond)
-    depth = [-1] * len(mol.atoms)
-    for start in range(len(mol.atoms)):
-        if depth[start] >= 0:
-            continue
-        depth[start] = 0
         queue = [start]
         for i in queue:
             for j, bi in mol._adj[i]:
-                if depth[j] < 0:
+                if label[j] < 0:
+                    label[j] = comp
                     depth[j] = depth[i] + 1
                     parent[j] = (i, bi)
                     queue.append(j)
+        comp += 1
+    mol.component_of = label
+    mol.n_components = comp
+    return parent, depth
 
-    candidates: list[tuple[int, tuple[int, ...], int]] = []  # (size, atoms, bond mask)
+
+def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
+                    depth: list[int]) -> None:
+    """Fill ``mol.rings`` with an SSSR-sized basis of shortest cycles.
+
+    The bonds of the fundamental cycles of the breadth-first spanning forest
+    (``parent``, ``depth``) are exactly the cycle bonds.  Candidates are
+    those fundamental cycles plus, for every cycle bond, the shortest cycle
+    through it, found by BFS with that bond removed over cycle bonds only:
+    no cycle crosses a bridge and the atoms beyond one are dead ends of the
+    search, so each path is the one a search over all bonds finds.  A greedy
+    pass over the candidates in (size, atoms) order keeps those linearly
+    independent over GF(2) in bond space until the cyclomatic number is met.
+    Each kept ring's bonds go to ``mol.ring_bond_ids``.
+
+    Two bonds between the same atoms raise :class:`UnbalancedRing`: with one
+    of them in the tree, the other's fundamental cycle has two atoms; with
+    both outside it, their fundamental cycles have the same atoms, which no
+    graph without such a pair gives.
+    """
+    n_rings = len(mol.bonds) - len(mol.atoms) + mol.n_components
+    if n_rings <= 0:
+        return
+
+    # (size, atoms, bond mask, bonds)
+    candidates: list[tuple[int, tuple[int, ...], int, list[int]]] = []
     seen: set[tuple[int, ...]] = set()
 
-    def record(path: list[int]) -> None:
+    def record(path: list[int], bonds: list[int]) -> bool:
+        """Add a candidate cycle; False when its atoms were already seen."""
         lowest = path.index(min(path))
         rotated = path[lowest:] + path[:lowest]
-        if len(rotated) > 2 and rotated[1] > rotated[-1]:
+        if rotated[1] > rotated[-1]:
             rotated = [rotated[0]] + rotated[1:][::-1]
         atoms = tuple(rotated)
         if atoms in seen:
-            return
+            return False
         seen.add(atoms)
-        mask = 0
-        for k in range(len(path)):
-            mask |= 1 << _bond_between(mol, path[k], path[(k + 1) % len(path)])
-        candidates.append((len(path), atoms, mask))
+        candidates.append((len(path), atoms, sum(1 << bi for bi in bonds), bonds))
+        return True
 
     tree_bonds = {bi for _, bi in parent.values()}
     cycle_bonds: set[int] = set()
     for bi, bond in enumerate(mol.bonds):
         if bi in tree_bonds:
             continue
-        cycle_bonds.add(bi)
         a, b = bond.a, bond.b
-        side_a, side_b = [a], [b]
+        side_a, side_b, bonds = [a], [b], [bi]
         while a != b:  # climb to the lowest common ancestor
             if depth[a] >= depth[b]:
                 a, up = parent[a]
@@ -570,67 +568,62 @@ def _perceive_rings(mol: Molecule) -> None:
             else:
                 b, up = parent[b]
                 side_b.append(b)
-            cycle_bonds.add(up)
+            bonds.append(up)
         cycle = side_a + side_b[-2::-1]
-        if len(cycle) >= 3:
-            record(cycle)
+        if len(cycle) == 2 or not record(cycle, bonds):
+            raise UnbalancedRing(
+                f"ring closure duplicates the bond between atoms {bond.a} "
+                f"and {bond.b} in {mol.source!r}")
+        cycle_bonds.update(bonds)
 
     ring_adj = [[(j, bi) for j, bi in nbrs if bi in cycle_bonds]
                 for nbrs in mol._adj]
     for bi in cycle_bonds:
         bond = mol.bonds[bi]
-        record(_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
+        record(*_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     basis: list[int] = []
-    rings: list[tuple[int, ...]] = []
-    ring_mask = 0
-    for _, ring_atoms, mask in candidates:
+    for _, ring_atoms, mask, bonds in candidates:
         reduced = mask
         for b in basis:
             reduced = min(reduced, reduced ^ b)
         if reduced:
             basis.append(reduced)
             basis.sort(reverse=True)
-            rings.append(ring_atoms)
-            ring_mask |= mask
-            if len(rings) == n_rings:
+            mol.rings.append(ring_atoms)
+            mol.ring_bond_ids.append(tuple(sorted(bonds)))
+            mol._ring_bonds.update(bonds)
+            mol._ring_atoms.update(ring_atoms)
+            if len(ring_atoms) == 3:
+                mol._ring3_atoms.update(ring_atoms)
+            if len(mol.rings) == n_rings:
                 break
-
-    mol.rings = rings
-    mol._ring_bonds = {bi for bi in cycle_bonds if ring_mask >> bi & 1}
-    for ring in rings:
-        mol._ring_atoms.update(ring)
-        if len(ring) == 3:
-            mol._ring3_atoms.update(ring)
-
-
-def _bond_between(mol: Molecule, i: int, j: int) -> int | None:
-    for nb, bi in mol._adj[i]:
-        if nb == j:
-            return bi
-    return None
 
 
 def _shortest_path_avoiding(adj: list[list[tuple[int, int]]], src: int,
-                            dst: int, skip_bond: int) -> list[int] | None:
-    prev = {src: -1}
+                            dst: int, skip_bond: int) -> tuple[list[int], list[int]]:
+    """Shortest cycle through ``skip_bond``: a ``dst``-``src`` path without it.
+
+    Returns the path's atoms and the cycle's bonds, ``skip_bond`` first.
+    The bond must lie on a cycle of ``adj``.
+    """
+    prev = {src: (-1, -1)}  # only membership of src is read
     queue = [src]
-    while queue:
-        nxt: list[int] = []
-        for i in queue:
-            for j, bi in adj[i]:
-                if bi == skip_bond or j in prev:
-                    continue
-                prev[j] = i
-                if j == dst:
-                    path = [j]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                nxt.append(j)
-        queue = nxt
-    return None
+    for i in queue:
+        for j, bi in adj[i]:
+            if bi == skip_bond or j in prev:
+                continue
+            prev[j] = (i, bi)
+            if j == dst:
+                path, bonds = [dst], [skip_bond]
+                while j != src:
+                    j, bi = prev[j]
+                    path.append(j)
+                    bonds.append(bi)
+                return path, bonds
+            queue.append(j)
+    raise AssertionError("bond is on no cycle")
 
 
 def _demote_nonring_aromatics(mol: Molecule) -> None:
@@ -695,10 +688,11 @@ _SP2_CAPABLE = {"C", "N", "O", "S"}
 
 def _aromatize_kekule(mol: Molecule) -> None:
     """Mark 4n+2 Kekule rings aromatic (two passes for fused systems)."""
+    rings = sorted(zip(mol.rings, mol.ring_bond_ids), key=lambda r: len(r[0]))
     for _ in range(2):
         changed = False
-        for ring in sorted(mol.rings, key=len):
-            if _try_aromatize_ring(mol, ring):
+        for ring, ring_bonds in rings:
+            if _try_aromatize_ring(mol, ring, ring_bonds):
                 changed = True
         if not changed:
             break
@@ -710,14 +704,9 @@ def _aromatize_kekule(mol: Molecule) -> None:
                     f"aromatic bond between non-aromatic atoms in {mol.source!r}")
 
 
-def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...]) -> bool:
+def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...],
+                        ring_bonds: tuple[int, ...]) -> bool:
     ring_set = set(ring)
-    ring_bonds = []
-    for k in range(len(ring)):
-        bi = _bond_between(mol, ring[k], ring[(k + 1) % len(ring)])
-        if bi is None:
-            return False
-        ring_bonds.append(bi)
     if all(mol.bonds[bi].order == "aromatic" for bi in ring_bonds):
         return False  # already aromatic
     pi = 0

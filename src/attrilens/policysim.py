@@ -604,7 +604,7 @@ def train(
             n_samples += len(samples)
 
             group = grpo.TrajectoryGroup(f"q{qid}", records)
-            grpo.fill_advantages(group, cfg)
+            grpo.fill_advantages(group)
             if config.algorithm == "dapo" and not grpo.dapo_filter([group]):
                 continue
             logp_new = group.logp_old()  # on-policy single update

@@ -281,7 +281,7 @@ def test_criterion_3_grpo_math_properties():
             [ResponseRecord(f"r{i}", float(rewards[i]), float(logp_old[i]),
                             float(logp_ref[i])) for i in range(n)],
         )
-        adv = fill_advantages(group, cfg)
+        adv = fill_advantages(group)
         if np.allclose(adv, 0.0):
             continue
         logp_new = logp_old + rng.uniform(-0.3, 0.3, size=n)

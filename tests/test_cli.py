@@ -292,6 +292,13 @@ def test_descriptors_bad_smiles_exit_2(capsys):
     assert code == 2
 
 
+def test_descriptors_duplicate_ring_bond_exit_2(capsys):
+    code, out, err = run(capsys, "descriptors", "C1C1")
+    assert code == 2
+    assert out == ""
+    assert "duplicates the bond" in err
+
+
 # ---------------------------------------------------------------------------
 # train-sim
 # ---------------------------------------------------------------------------
@@ -516,3 +523,27 @@ def test_dtree_failed_model_out_leaves_no_metrics(capsys, tmp_path):
     )
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# unwritable --out
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("score", str(data_path("case_studies.jsonl"))),
+    ("train-sim", "--steps", "1"),
+    ("dtree", str(data_path("bbbp_synthetic.csv")), "--n-trees", "2"),
+], ids=["score", "train-sim", "dtree"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "taken"],
+                         ids=["missing-dir", "is-a-dir"])
+def test_unwritable_out_exit_2_names_the_path(capsys, tmp_path, argv,
+                                              target):
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"cannot write {out}:" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []

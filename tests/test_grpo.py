@@ -100,7 +100,7 @@ def test_single_reward_rejected():
 
 def test_fill_advantages_stores_on_group():
     g = _group([0.0, 2.0])
-    adv = fill_advantages(g, OptimConfig())
+    adv = fill_advantages(g)
     assert g.advantages == [-1.0, 1.0]
     assert np.allclose(adv, [-1.0, 1.0])
 
@@ -201,7 +201,7 @@ def test_kl_nonnegative(a, b):
 def test_objective_on_policy_is_minus_beta_kl():
     g = _group([0.0, 2.0], logp_old=[-1.0, -2.0], logp_ref=[-1.3, -1.7])
     cfg = OptimConfig()
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     # on-policy: rho = 1 everywhere, surrogate = mean advantage = 0
     expected = -cfg.kl_beta * np.mean(
         kl_estimate(g.logp_old(), g.logp_ref())
@@ -213,7 +213,7 @@ def test_objective_clips_positive_advantage():
     # single-direction check with beta disabled: A=+1, rho=1.5 clips to 1.2
     g = _group([0.0, 2.0])
     cfg = OptimConfig(kl_beta=1e-12)
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     logp_new = np.array([-1.0, -1.0 + math.log(1.5)])
     # element 0: A=-1, rho=1 -> -1; element 1: A=+1, rho=1.5 -> clipped 1.2
     assert grpo_objective(g, logp_new, cfg) == pytest.approx(
@@ -224,7 +224,7 @@ def test_objective_clips_positive_advantage():
 def test_objective_clips_negative_advantage():
     g = _group([2.0, 0.0])
     cfg = OptimConfig(kl_beta=1e-12)
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     logp_new = np.array([-1.0, -1.0 + math.log(0.5)])
     # element 1: A=-1, rho=0.5 -> min(-0.5, -0.8) = -0.8
     assert grpo_objective(g, logp_new, cfg) == pytest.approx(
@@ -235,7 +235,7 @@ def test_objective_clips_negative_advantage():
 def test_dapo_band_wider_above():
     g = _group([0.0, 2.0])
     cfg = OptimConfig(algorithm="dapo")
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     logp_new = np.array([-1.0, -1.0 + math.log(1.25)])
     # rho=1.25 sits inside the asymmetric band [0.8, 1.28]: no clipping
     assert grpo_objective(g, logp_new, cfg) == pytest.approx(
@@ -278,7 +278,7 @@ def test_gradient_matches_finite_differences(algorithm):
         logp_old = rng.uniform(-5.0, -0.5, size=n)
         logp_ref = logp_old + rng.uniform(-0.4, 0.4, size=n)
         g = _group(rewards, logp_old, logp_ref)
-        adv = fill_advantages(g, cfg)
+        adv = fill_advantages(g)
         logp_new = logp_old + rng.uniform(-0.3, 0.3, size=n)
         rho = np.exp(logp_new - logp_old)
         lo, hi = cfg.clip_band
@@ -298,7 +298,7 @@ def test_gradient_matches_finite_differences(algorithm):
 def test_gradient_zero_when_clipped_out():
     g = _group([0.0, 2.0])
     cfg = OptimConfig(kl_beta=1e-12)
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     # element 1 has A=+1 and rho far above the band: inactive
     logp_new = np.array([-1.0, -1.0 + math.log(2.0)])
     grad = grpo_gradient(g, logp_new, cfg)
@@ -310,7 +310,7 @@ def test_gradient_zero_when_clipped_out():
 def test_gradient_keeps_kl_term_when_clipped():
     g = _group([0.0, 2.0], logp_old=[-1.0, -1.0], logp_ref=[-1.0, -1.0])
     cfg = OptimConfig(kl_beta=0.5)
-    fill_advantages(g, cfg)
+    fill_advantages(g)
     logp_new = np.array([-1.0, -1.0 + math.log(2.0)])
     grad = grpo_gradient(g, logp_new, cfg)
     u1 = math.exp(-1.0 - logp_new[1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrilens import molgraph
+from attrilens import descriptors, molgraph
 from attrilens._data import data_path
 from attrilens.molgraph import (
     EMPTY_SCAFFOLD_KEY,
@@ -119,6 +119,13 @@ def test_stereo_bond_markers_accepted():
         ("", SmilesError),
         ("C=", SmilesError),
         ("1CC1", SmilesError),
+        # ring closures that duplicate an existing bond
+        ("C1C1", UnbalancedRing),
+        ("C12CC12", UnbalancedRing),
+        ("C1(C1)", UnbalancedRing),
+        ("C=1C1", UnbalancedRing),
+        ("C12C12", UnbalancedRing),
+        ("C1C2C12", UnbalancedRing),
     ],
 )
 def test_parse_errors(bad, exc):
@@ -197,9 +204,9 @@ def _bundled_smiles():
     return list(dict.fromkeys(smiles))
 
 
-# Parallel bonds, spiro, tetrahedrane, cubane, a cage whose rings change if
-# the search through its last bond is skipped, 300 rings, a long chain.
-_LARGE_CASES = ["C12C12", "C1CC11CC1", "C12C3C1C23", "C12C3C4C1C5C2C3C45",
+# Spiro, tetrahedrane, cubane, a cage whose rings change if the search
+# through its last bond is skipped, 300 rings, a long chain.
+_LARGE_CASES = ["C1CC11CC1", "C12C3C1C23", "C12C3C4C1C5C2C3C45",
                 "C(C12)C(C34)C(C54)C2C5C13", "C1CCCCC1" * 300,
                 "C1CCCCC1" + "C" * 2000]
 
@@ -224,16 +231,21 @@ def _reference_shortest_path(mol, src, dst, skip_bond):
     return None
 
 
-def _reference_perceive_rings(mol):
+def _bond_between(mol, i, j):
+    return next(bi for nb, bi in mol._adj[i] if nb == j)
+
+
+def _reference_perceive_rings(mol, *_forest):
     """Reference: the shortest cycle through every bond, bridges included,
-    plus the spanning-forest fundamental cycles, deduplicated by bond mask
-    and reduced by the same greedy GF(2) pass."""
+    plus the fundamental cycles of its own spanning forest, deduplicated by
+    bond mask and reduced by the same greedy GF(2) pass.  Ring bonds are
+    looked up from consecutive ring atoms."""
     n_rings = len(mol.bonds) - len(mol.atoms) + mol.n_components
-    mol.rings, mol._ring_bonds = [], set()
+    mol.rings, mol.ring_bond_ids, mol._ring_bonds = [], [], set()
     mol._ring_atoms, mol._ring3_atoms = set(), set()
     if n_rings <= 0:
         return
-    bond_between = molgraph._bond_between
+    bond_between = _bond_between
     candidates, seen_masks = [], set()
 
     def record(path):
@@ -301,13 +313,16 @@ def _reference_perceive_rings(mol):
         mol._ring_atoms.update(ring)
         if len(ring) == 3:
             mol._ring3_atoms.update(ring)
-        for k in range(len(ring)):
-            mol._ring_bonds.add(bond_between(mol, ring[k], ring[(k + 1) % len(ring)]))
+        bonds = {bond_between(mol, ring[k], ring[(k + 1) % len(ring)])
+                 for k in range(len(ring))}
+        mol.ring_bond_ids.append(tuple(sorted(bonds)))
+        mol._ring_bonds.update(bonds)
 
 
 def _ring_state(mol):
-    return (mol.rings, mol._ring_bonds, mol._ring_atoms, mol._ring3_atoms,
-            [a.aromatic for a in mol.atoms], [b.order for b in mol.bonds])
+    return (mol.rings, mol.ring_bond_ids, mol._ring_bonds, mol._ring_atoms,
+            mol._ring3_atoms, [a.aromatic for a in mol.atoms],
+            [b.order for b in mol.bonds])
 
 
 def test_ring_perception_matches_all_bonds_search(monkeypatch):
@@ -336,6 +351,47 @@ def test_ring_perception_searches_only_cycle_bonds(monkeypatch):
     mol = parse_smiles("C1CCCCC1" + "C" * 2000)
     assert len(calls) == 6
     assert mol.rings == [(0, 1, 2, 3, 4, 5)]
+
+
+def _reference_num_aromatic_rings(mol):
+    """Reference: rings whose atoms are all aromatic and whose consecutive
+    atoms are joined by aromatic bonds, found by scanning neighbours."""
+    count = 0
+    for ring in mol.rings:
+        if all(mol.atoms[i].aromatic for i in ring):
+            closed = all(
+                any(j == ring[(k + 1) % len(ring)] and bond.order == "aromatic"
+                    for j, bond in mol.neighbors(ring[k]))
+                for k in range(len(ring))
+            )
+            if closed:
+                count += 1
+    return float(count)
+
+
+def test_num_aromatic_rings_matches_neighbour_scan():
+    inputs = _bundled_smiles() + list(SMILES_CORPUS) + [
+        "C1=CC=CC=C1", "C1=CC=NC=C1", "C1=CC=C2C=CC=CC2=C1",
+        "C1=CC2=CC=CC=C2C=C1C1=CC=CC=C1", "c1ccc2ccccc2c1",
+        "c1ccccc1-c1ccccc1", "c1ccccc1c1ccccc1", "O=C1C=CC(=O)C=C1",
+        "c1ccc2c(c1)CCCC2", "C1=CC=C2CCCC2=C1",
+    ]
+    aromatic = 0
+    for text in inputs:
+        mol = parse_smiles(text)
+        value = descriptors.compute(mol, "NumAromaticRings").value
+        assert value == _reference_num_aromatic_rings(mol), text
+        aromatic += value > 0
+    assert aromatic > len(inputs) // 2
+
+
+def test_ring_closures_onto_new_bonds_still_parse():
+    assert parse_smiles("C1CC1").rings == [(0, 1, 2)]
+    dotted = parse_smiles("C1.C1")
+    assert (len(dotted.bonds), dotted.rings, dotted.n_components) == (1, [], 1)
+    spiro = parse_smiles("C1CC11CC1")
+    assert spiro.rings == [(0, 1, 2), (2, 3, 4)]
+    assert spiro.ring_bond_ids == [(0, 1, 2), (3, 4, 5)]
 
 
 # ---------------------------------------------------------------------------
