@@ -360,18 +360,17 @@ def cmd_split(args) -> int:
     schema = mlpipe.CsvSchema(args.smiles_col, args.label_col, args.task)
     loaded = mlpipe.load_csv(args.input, schema)
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    if len(fractions) != 3:
-        raise ConfigError(f"need three fractions, got {args.fractions!r}")
     parts = mlpipe.scaffold_split(loaded.records, fractions)
     os.makedirs(args.outdir, exist_ok=True)
-    outputs = []
-    for name, part in zip(("train", "valid", "test"), parts):
-        path = os.path.join(args.outdir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
+    outputs = [os.path.join(args.outdir, f"{name}.csv")
+               for name in ("train", "valid", "test")]
+    # all three parts are written before any replaces its target
+    with contextlib.ExitStack() as stack:
+        for path, part in zip(outputs, parts):
+            fh = stack.enter_context(_atomic_output(path))
             fh.write(f"{args.smiles_col},{args.label_col}\n")
             for rec in part:
                 fh.write(f"{rec.smiles},{rec.label}\n")
-        outputs.append(path)
     _manifest(
         "split",
         {"fractions": list(fractions), "smiles_col": args.smiles_col,

@@ -162,8 +162,8 @@ def kl_estimate(logp_theta, logp_ref):
             f"|logp_ref - logp_theta| exceeds {MAX_LOGP_GAP}; "
             "the k3 estimator is not representable that far out"
         )
-    u = np.exp(delta)
-    out = u - delta - 1.0  # log(u) == delta
+    # log(u) == delta; exp(delta) rounding to 1 can dip an ulp below 0
+    out = np.maximum(np.exp(delta) - delta - 1.0, 0.0)
     if out.ndim == 0:
         return float(out)
     return out

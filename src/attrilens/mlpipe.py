@@ -164,7 +164,7 @@ def scaffold_split(
     """Deterministic greedy scaffold split into (train, valid, test).
 
     Records are grouped by scaffold key and groups are ordered largest
-    first (ties by key). Groups fill train until it reaches
+    first (ties by first record). Groups fill train until it reaches
     ``floor(f_train * n)`` records, then valid until the running total
     reaches ``floor((f_train + f_valid) * n)``, then test -- so no
     scaffold ever spans two splits, each split may overshoot its target
@@ -177,13 +177,14 @@ def scaffold_split(
         raise EmptyDataset("cannot split zero records")
     if len(fractions) != 3:
         raise ValueError(f"need exactly three fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative and sum to 1: "
-                         f"{fractions}")
+    # 0 <= f <= 1 is False for nan, so non-finite fractions fail here
+    if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1) > 1e-9:
+        raise ValueError(f"fractions must be finite, non-negative and sum "
+                         f"to 1: {fractions}")
     groups: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         groups.setdefault(scaffold_key(rec.molecule), []).append(i)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    ordered = sorted(groups.values(), key=len, reverse=True)
 
     n = len(records)
     train_cutoff = int(fractions[0] * n)
@@ -191,7 +192,7 @@ def scaffold_split(
     train_idx: list[int] = []
     valid_idx: list[int] = []
     test_idx: list[int] = []
-    for _, members in ordered:
+    for members in ordered:
         if len(train_idx) < train_cutoff:
             train_idx.extend(members)
         elif len(train_idx) + len(valid_idx) < valid_cutoff:

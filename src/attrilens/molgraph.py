@@ -804,25 +804,28 @@ EMPTY_SCAFFOLD_KEY = "scaffold:acyclic"
 def molecule_key(mol: Molecule) -> str:
     """Order-invariant structural key (Weisfeiler-Lehman style refinement).
 
-    Isomorphic graphs always map to the same key; the converse holds for
-    anything this package meets in practice.  Stereochemistry is ignored.
+    Labels are refined until a round splits no class, for at most
+    ``max(2, min(n, 16))`` rounds: later labels would be a fixed function
+    of the labels and bond codes that the key hashes.  Isomorphic graphs
+    always map to the same key; the converse holds for anything this
+    package meets in practice.  Stereochemistry is ignored.
     """
     n = len(mol.atoms)
     if n == 0:
         return EMPTY_SCAFFOLD_KEY
     labels = [
-        f"{a.element}|{int(a.aromatic)}|{a.formal_charge}|{a.total_h}|{mol.degree(a.index)}"
+        _h(f"{a.element}|{int(a.aromatic)}|{a.formal_charge}|{a.total_h}|{mol.degree(a.index)}")
         for a in mol.atoms
     ]
-    labels = [_h(s) for s in labels]
+    nbrs = [[(mol.bonds[bi].order[0], j) for j, bi in mol._adj[i]] for i in range(n)]
     for _ in range(max(2, min(n, 16))):
-        nxt = []
-        for i in range(n):
-            env = sorted(f"{mol.bonds[bi].order[0]}{labels[j]}" for j, bi in mol._adj[i])
-            nxt.append(_h(labels[i] + "".join(env)))
-        if nxt == labels:
+        sigs = [labels[i] + "".join(sorted(c + labels[j] for c, j in nbrs[i]))
+                for i in range(n)]
+        hashed = {s: _h(s) for s in set(sigs)}
+        stable = len(hashed) == len(set(labels))
+        labels = [hashed[s] for s in sigs]
+        if stable:
             break
-        labels = nxt
     edge_codes = sorted(
         "".join(sorted((labels[b.a], labels[b.b]))) + b.order[0] for b in mol.bonds
     )
@@ -835,10 +838,7 @@ def scaffold_key(mol: Molecule) -> str:
     Applying it to an already-extracted scaffold is a no-op (the framework
     of a framework is itself); acyclic input maps to the shared sentinel.
     """
-    scaffold = murcko_scaffold(mol)
-    if len(scaffold) == 0:
-        return EMPTY_SCAFFOLD_KEY
-    return molecule_key(scaffold)
+    return molecule_key(murcko_scaffold(mol))
 
 
 def _h(s: str) -> str:

@@ -454,6 +454,30 @@ def test_split_bad_fractions_exit_3(capsys, tmp_path):
         "--fractions", "0.5,0.5", "--outdir", str(tmp_path),
     )
     assert code == 3
+    # nan compares False with everything, so a sum check alone lets it by
+    for bad in ("0.8,0.1,nan", "0.8,nan,0.2"):
+        code, _, err = run(
+            capsys, "split", str(data_path("bbbp_synthetic.csv")),
+            "--fractions", bad, "--outdir", str(tmp_path),
+        )
+        assert code == 3
+        assert f"({bad.replace(',', ', ')})" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_split_unwritable_part_exit_2_writes_no_part(capsys, tmp_path):
+    (tmp_path / "train.csv").write_text("old\n")
+    (tmp_path / "test.csv").mkdir()
+    code, _, err = run(
+        capsys, "split", str(data_path("bbbp_synthetic.csv")),
+        "--outdir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"cannot write {tmp_path / 'test.csv'}:" in err
+    # no temporary file is left and no part replaces its target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv",
+                                                          "train.csv"]
+    assert (tmp_path / "train.csv").read_text() == "old\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from attrilens.grpo import (
@@ -188,6 +188,9 @@ def test_kl_rejects_nonfinite_and_huge_gaps():
     a=st.floats(min_value=-40.0, max_value=0.0),
     b=st.floats(min_value=-40.0, max_value=0.0),
 )
+# exp(delta) rounds to 1.0 here, so u - delta - 1 is an ulp below 0
+@example(a=-7.351998512358394e-17, b=0.0)
+@example(a=0.0, b=1e-16)
 def test_kl_nonnegative(a, b):
     if abs(a - b) <= MAX_LOGP_GAP:
         assert kl_estimate(a, b) >= 0.0

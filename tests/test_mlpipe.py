@@ -1,6 +1,8 @@
 """CSV loading, scaffold splitting, forest training, and AUC scoring."""
 
+import hashlib
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attrilens
+from attrilens import mlpipe
 from attrilens._data import data_path
 from attrilens.mlpipe import (
     CsvSchema,
+    DatasetRecord,
     DegenerateLabels,
     EmptyDataset,
     ForestConfig,
@@ -29,7 +33,7 @@ from attrilens.mlpipe import (
     top_attributes,
     train_forest,
 )
-from attrilens.molgraph import scaffold_key
+from attrilens.molgraph import parse_smiles, scaffold_key
 from attrilens.response import parse_response, render_response
 
 
@@ -137,12 +141,39 @@ def test_split_respects_fractions(tmp_path):
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.8, 0.1, 0.2),
-                                       (-0.1, 0.6, 0.5)])
+                                       (-0.1, 0.6, 0.5),
+                                       (0.8, 0.1, float("nan")),
+                                       (0.8, float("nan"), 0.2),
+                                       (0.8, 0.1, float("inf"))])
 def test_split_validates_fractions(fractions, tmp_path):
     rows = ["CCO,True", "CCN,False"]
     out = load_csv(_write_csv(tmp_path / "d.csv", rows))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(fractions))):
         scaffold_split(out.records, fractions)
+
+
+def test_split_does_not_depend_on_key_strings(monkeypatch):
+    # every BBBP scaffold group has 4 records, so all group order is ties
+    records = load_csv(data_path("bbbp_synthetic.csv")).records
+    before = scaffold_split(records)
+    monkeypatch.setattr(mlpipe, "scaffold_key", lambda mol: hashlib.blake2s(
+        b"salt" + scaffold_key(mol).encode()).hexdigest())
+    after = scaffold_split(records)
+    for part_a, part_b in zip(before, after):
+        assert [r.smiles for r in part_a] == [r.smiles for r in part_b]
+
+
+def test_equal_size_groups_land_in_first_record_order(monkeypatch):
+    # group g is a chain of g carbons; its key sorts in reverse of the
+    # order in which the groups first appear
+    layout = "ABCADBCDEEE"
+    records = [DatasetRecord(f"{g}{i}", True, parse_smiles("C" * (ord(g) - 64)))
+               for i, g in enumerate(layout)]
+    monkeypatch.setattr(mlpipe, "scaffold_key",
+                        lambda mol: "zyxwv"[mol.heavy_atom_count - 1])
+    parts = scaffold_split(records, (0.5, 0.25, 0.25))
+    assert ["".join(r.smiles[0] for r in part) for part in parts] == [
+        "AAEEE", "BCBC", "DD"]
 
 
 def test_split_preserves_input_order_within_parts(tmp_path):

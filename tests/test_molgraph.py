@@ -467,6 +467,81 @@ def test_molecule_key_detects_heteroatom_swap():
     )
 
 
+def _wl_labels(mol, rounds):
+    """Atom labels after ``rounds`` rounds of the key's refinement."""
+    labels = [molgraph._h(f"{a.element}|{int(a.aromatic)}|{a.formal_charge}|"
+                          f"{a.total_h}|{mol.degree(a.index)}")
+              for a in mol.atoms]
+    for _ in range(rounds):
+        labels = [molgraph._h(labels[i] + "".join(sorted(
+                      f"{mol.bonds[bi].order[0]}{labels[j]}"
+                      for j, bi in mol._adj[i])))
+                  for i in range(len(mol.atoms))]
+    return labels
+
+
+def _reference_molecule_key(mol, rounds=None):
+    """Reference: the key refined for ``max(2, min(n, 16))`` rounds, with
+    no early stop."""
+    n = len(mol.atoms)
+    if n == 0:
+        return EMPTY_SCAFFOLD_KEY
+    labels = _wl_labels(mol, max(2, min(n, 16)) if rounds is None else rounds)
+    edge_codes = sorted("".join(sorted((labels[b.a], labels[b.b])))
+                        + b.order[0] for b in mol.bonds)
+    return molgraph._h("".join(sorted(labels)) + "|" + "".join(edge_codes))
+
+
+def _classes(keys):
+    """The equality relation of ``keys``: each key's first-seen index."""
+    first = {}
+    return [first.setdefault(k, len(first)) for k in keys]
+
+
+# Phenyls on a 14-ring, 6 and 7 ring bonds apart: their 2-round keys agree
+# and the third round tells them apart.
+_ROUND_3_PAIR = ("c1ccccc1C1CCCCCC(c2ccccc2)CCCCCCC1",
+                 "c1ccccc1C1CCCCCCC(c2ccccc2)CCCCCC1")
+# Benzene and cyclohexane 41 bonds apart: classes still split at round 16.
+_CAPPED = "c1ccccc1" + "C" * 40 + "C1CCCCC1"
+
+
+def test_early_stop_groups_like_fixed_round_reference(monkeypatch):
+    mols = []
+    for text in (_bundled_smiles() + list(SMILES_CORPUS)
+                 + list(_ROUND_3_PAIR) + [_CAPPED]):
+        mol = parse_smiles(text)
+        mols.append(mol)
+        mols.append(parse_smiles(
+            write_smiles(mol, rng=np.random.default_rng(len(mols)))))
+    ours = [(molecule_key(m), scaffold_key(m)) for m in mols]
+    monkeypatch.setattr(molgraph, "molecule_key", _reference_molecule_key)
+    ref = [(_reference_molecule_key(m), scaffold_key(m)) for m in mols]
+    for column in range(2):
+        assert (_classes(k[column] for k in ours)
+                == _classes(k[column] for k in ref))
+
+
+def test_molecule_key_separates_a_pair_split_only_at_round_3():
+    a, b = (parse_smiles(text) for text in _ROUND_3_PAIR)
+    assert _reference_molecule_key(a, 2) == _reference_molecule_key(b, 2)
+    assert _reference_molecule_key(a) != _reference_molecule_key(b)
+    assert molecule_key(a) != molecule_key(b)
+    assert scaffold_key(a) != scaffold_key(b)
+
+
+def test_round_cap_binds_on_a_long_linker():
+    mol = parse_smiles(_CAPPED)
+    assert len(murcko_scaffold(mol)) == len(mol.atoms) > 16
+    assert len(set(_wl_labels(mol, 15))) < len(set(_wl_labels(mol, 16)))
+    # refined up to the cap, the key is the reference key itself
+    assert molecule_key(mol) == _reference_molecule_key(mol)
+    for seed in range(5):
+        again = parse_smiles(write_smiles(mol, rng=np.random.default_rng(seed)))
+        assert molecule_key(again) == molecule_key(mol)
+        assert scaffold_key(again) == scaffold_key(mol)
+
+
 # ---------------------------------------------------------------------------
 # writer round-trips
 # ---------------------------------------------------------------------------
