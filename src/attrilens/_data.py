@@ -1,4 +1,4 @@
-"""Bundled-data resolution.
+"""Bundled-data resolution, and reading input text files.
 
 Data files ship inside the package; setting ``ATTRILENS_DATA_DIR`` points
 every consumer (range tables, fixture corpora, benchmark CSVs) at an
@@ -8,6 +8,7 @@ calibrated tables without touching the install.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 
@@ -39,3 +40,21 @@ def resolve_range_table(spec: str) -> Path:
     if spec in BUNDLED_RANGE_TABLES:
         return data_path(BUNDLED_RANGE_TABLES[spec])
     return Path(spec)
+
+
+@contextlib.contextmanager
+def open_text(path, error: type[Exception], **kwargs):
+    """``open(path, **kwargs)`` for reading text. A byte the codec cannot
+    decode raises ``error`` naming ``path:line``."""
+    try:
+        with open(path, **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:  # exc counts bytes from the start of the block it decoded
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not valid {exc.encoding} text: "
+                    f"{exc.reason}") from exc

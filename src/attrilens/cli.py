@@ -26,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, mlpipe, policysim
-from ._data import data_path
+from ._data import data_path, open_text
 from .descriptors import Unimplemented, compute, registry, resolve_attribute
 from .molgraph import SmilesError, parse_smiles
 from .policysim import ConfigError, TrainConfig
@@ -160,7 +160,7 @@ def cmd_score(args) -> int:
         raise ConfigError(str(exc)) from exc
     bounds = _parse_count_bounds(args.count_bounds)
     records = []
-    with open(args.corpus) as fh:
+    with open_text(args.corpus, InputError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -299,7 +299,7 @@ _CONFIG_CASTS = {
 def _read_config_file(path) -> dict:
     """key=value lines; blank lines and #-comments ignored."""
     overrides = {}
-    with open(path) as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

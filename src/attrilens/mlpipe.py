@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._data import open_text
 from .descriptors import DescriptorId, compute, registry, resolve_attribute
 from .molgraph import Molecule, SmilesError, parse_smiles, scaffold_key
 from .response import CLASSIFICATION, REGRESSION, ParsedResponse
@@ -124,7 +125,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> LoadResult:
     """
     records: list[DatasetRecord] = []
     skipped = 0
-    with open(path, newline="") as fh:
+    with open_text(path, BadRecord, newline="") as fh:
         reader = csv.DictReader(fh)
         cols = set(reader.fieldnames or ())
         for needed in (schema.smiles_col, schema.label_col):

@@ -21,11 +21,13 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grpo
+from ._data import open_text
 from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
 from .response import (
@@ -175,12 +177,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 _BAD_PROBABILITIES = (
     "policy probabilities must be finite and non-negative; "
     "check the logits and the temperature"
@@ -188,34 +184,59 @@ _BAD_PROBABILITIES = (
 _LOG_OMIT = float(np.log(1.0 / len(_TAG_NAMES)))
 
 
-def _categorical(p: np.ndarray, T: float) -> tuple[list, list, np.ndarray]:
-    """A categorical row: the sampling CDF, ``log p`` and ``p/T``.
+def _pairwise_sum(v: list) -> float:
+    """``sum(v)`` in the order ``np.add.reduce`` adds float64: in sequence
+    below 8 terms, in 8 running sums combined as a tree (then the tail in
+    sequence) up to 128, and as two halves cut at a multiple of 8 above."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    res, tail = 0.0, v
+    if n >= 8:
+        r = v[:8]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += v[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = v[n - n % 8:]
+    for x in tail:
+        res += x
+    return res
 
-    ``log p`` is ``-inf`` where ``p`` is 0 (drawn attributes); callers
-    build rows with numpy's divide warning off.
+
+def _row(e: list) -> tuple[list, list]:
+    """The categorical row ``(cdf, p)`` of the weights ``e = exp(z - m)``.
+
+    It is bit for bit numpy's softmax of the logits ``z`` and the CDF
+    ``Generator.choice`` builds from it. A NaN weight (NaN logits, or
+    ``logit/T`` overflowing) raises ``ValueError``.
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    cdf = cdf.tolist()
-    # a softmax puts every p in [0, 1] unless NaN or overflowing logits
-    # make it NaN, and a NaN anywhere makes the last CDF entry NaN
+    total = _pairwise_sum(e)
+    p = [x / total for x in e]
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    cdf = [c / last for c in cdf]
+    # every p is in [0, 1] unless a NaN weight makes the sum NaN, and a
+    # NaN anywhere makes the last CDF entry NaN
     if cdf[-1] != 1.0:
         raise ValueError(_BAD_PROBABILITIES)
-    return cdf, np.log(p).tolist(), p / T
+    return cdf, p
 
 
 class _Table:
     """Every factor distribution of one policy at temperature ``T``.
 
     A bit row is ``(p, (log(1-p), log p), ((0-p)/T, (1-p)/T))`` and a
-    categorical row ``(cdf, log p, p/T)``, in Python floats and lists.
-    The CDF is the one ``Generator.choice`` builds, so
+    categorical row ``(cdf, p)`` (see :func:`_row`), in Python floats and
+    lists. The CDF is the one ``Generator.choice`` builds, so
     ``bisect_right(cdf, rng.random())`` draws the index ``rng.choice``
     would, from the same single ``random()``. Masked attribute rows are
     keyed by the bit set of the attributes already drawn and built on
-    first use, from the logits as they were when the table was built.
-    A NaN, infinite or negative probability (NaN logits, or ``logit/T``
-    overflowing) raises ``ValueError``.
+    first use, from the logits as they were when the table was built; their
+    weights depend only on the largest live logit ``m``, so the table takes
+    one ``exp`` per distinct ``m``. A NaN, infinite or negative probability
+    (NaN logits, or ``logit/T`` overflowing) raises ``ValueError``.
     """
 
     def __init__(self, policy: PolicyParams, T: float):
@@ -223,6 +244,9 @@ class _Table:
         self.T = T
         self.inv_T = 1.0 / T
         self._attr_logits = policy.logits_attr / T
+        # largest logit first
+        self._attr_order = (-self._attr_logits).argsort(kind="stable").tolist()
+        self._attr_exp: dict[float, list] = {}
         self._attr: dict[int, tuple] = {}
         p = _sigmoid(np.concatenate((
             [policy.logit_format], policy.logits_polarity,
@@ -230,9 +254,11 @@ class _Table:
         )) / T)
         if not ((p >= 0.0) & (p <= 1.0)).all():
             raise ValueError(_BAD_PROBABILITIES)
+        z = policy.logits_count / T
+        self.count = _row(np.exp(z - z.max()).tolist())
+        self.count_score = np.array(self.count[1]) / -T  # -(p/T) exactly
+        self.attr(0)  # the unmasked row checks every attribute logit
         with np.errstate(divide="ignore"):
-            self.count = _categorical(_softmax(policy.logits_count / T), T)
-            self.attr(0)  # the unmasked row checks every attribute logit
             rows = list(zip(
                 p.tolist(),
                 zip(np.log(1.0 - p).tolist(), np.log(p).tolist()),
@@ -243,19 +269,28 @@ class _Table:
         self.answer = rows[1 + policy.n_attrs:]
 
     def attr(self, drawn: int) -> tuple:
-        """The attribute distribution with the set bits of ``drawn`` masked.
-
-        Call it with numpy's divide warning off, as ``_walk`` does.
-        """
+        """The attribute distribution with the set bits of ``drawn`` masked."""
         row = self._attr.get(drawn)
         if row is None:
-            z = self._attr_logits.copy()
-            z[[i for i in range(z.size) if drawn >> i & 1]] = -np.inf
-            row = self._attr[drawn] = _categorical(_softmax(z), self.T)
+            # m is the largest live logit; a NaN logit, sorted last, still
+            # makes its weight and so the whole row NaN
+            for k in self._attr_order:
+                if not drawn >> k & 1:
+                    break
+            else:  # a count head longer than the vocabulary
+                raise ValueError("every attribute is already drawn")
+            m = float(self._attr_logits[k])
+            e = self._attr_exp.get(m)
+            if e is None:
+                # a masked logit may exceed m; it must not overflow exp
+                z = np.minimum(self._attr_logits - m, 0.0)
+                e = self._attr_exp[m] = np.exp(z).tolist()
+            # a masked weight is exp(-inf - m) = 0
+            e = [0.0 if drawn >> i & 1 else x for i, x in enumerate(e)]
+            row = self._attr[drawn] = _row(e)
         return row
 
 
-@np.errstate(divide="ignore")  # log(0) in attribute rows built on first use
 def _walk(table: _Table, ref: _Table, query_index: int, pick):
     """Visit every factor of the policy once, in sampling order.
 
@@ -264,14 +299,15 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
     for the equiprobable ``kind="uniform"``, and an index into the CDF
     ``p`` for ``kind="categorical"``. Returns the action, its exact
     log-probability under ``table``'s policy and under ``ref``'s (the same
-    terms, in the same order), and its score under ``table``'s policy --
-    the gradient of ``logp`` with respect to every logit, in the standard
-    forms at temperature ``T``: ``(b - p)/T`` for a Bernoulli bit and
-    ``(onehot - p)/T`` for each categorical draw, with already-drawn
-    attributes masked out of later draws. The uniform choice of which tag
-    pair to omit contributes ``log(1/3)`` to each log-probability and
-    nothing to the score.
+    terms, in the same order; ``ref`` may be ``table`` itself), and its
+    score under ``table``'s policy -- the gradient of ``logp`` with respect
+    to every logit, in the standard forms at temperature ``T``:
+    ``(b - p)/T`` for a Bernoulli bit and ``(onehot - p)/T`` for each
+    categorical draw, with already-drawn attributes masked out of later
+    draws. The uniform choice of which tag pair to omit contributes
+    ``log(1/3)`` to each log-probability and nothing to the score.
     """
+    T = table.T
     score = table.policy.zeros_like()
     logp = logp_ref = 0.0
 
@@ -288,26 +324,28 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
         logp_ref += _LOG_OMIT
 
     # attribute count
-    cdf, logs, p_T = table.count
+    cdf, p = table.count
     count = pick("categorical", cdf)
-    logp += logs[count]
-    logp_ref += ref.count[1][count]
-    score.logits_count = -p_T
+    logp += float(np.log(p[count]))
+    logp_ref += float(np.log(ref.count[1][count]))
+    score.logits_count = table.count_score.copy()
     score.logits_count[count] += table.inv_T
 
     # ordered without-replacement attribute draws; drawn attributes have
     # p = 0 in later draws, so subtracting all of p/T leaves them as they are
     attrs = []
     drawn = 0
+    attr_score = [0.0] * table.policy.n_attrs
     for _ in range(count):
-        cdf, logs, p_T = table.attr(drawn)
+        cdf, p = table.attr(drawn)
         idx = pick("categorical", cdf)
-        logp += logs[idx]
-        logp_ref += ref.attr(drawn)[1][idx]
-        score.logits_attr -= p_T
-        score.logits_attr[idx] += table.inv_T
+        logp += float(np.log(p[idx]))
+        logp_ref += float(np.log(ref.attr(drawn)[1][idx]))
+        attr_score = [a - v / T for a, v in zip(attr_score, p)]
+        attr_score[idx] += table.inv_T
         drawn |= 1 << idx
         attrs.append(idx)
+    score.logits_attr = np.array(attr_score)
 
     # per-attribute polarity bits
     polarities = []
@@ -331,6 +369,7 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
     return action, logp, logp_ref, score
 
 
+@np.errstate(divide="ignore")  # an action may draw a p = 0 entry
 def action_logp(
     policy: PolicyParams,
     action: Action,
@@ -371,6 +410,15 @@ def _sampler(rng: np.random.Generator):
     return draw
 
 
+def _vocabulary(policy: PolicyParams) -> tuple[str, ...]:
+    """The descriptor names that the policy's attribute indices stand for."""
+    names = tuple(implemented_names())
+    if policy.n_attrs > len(names):
+        raise ConfigError(f"policy has {policy.n_attrs} attributes but only "
+                          f"{len(names)} descriptors are implemented")
+    return names[: policy.n_attrs]
+
+
 def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
     claims = [
         AttributeClaim(vocab[i], "promotes" if bit else "inhibits")
@@ -397,9 +445,9 @@ def sample_response(
     """
     if prompt.task != CLASSIFICATION:
         raise ConfigError("the simulator supports classification prompts only")
+    vocab = _vocabulary(policy)
     table = _Table(policy, temperature)
     action, logp, _, score = _walk(table, table, query_index, _sampler(rng))
-    vocab = tuple(implemented_names())[: policy.n_attrs]
     return SampledResponse(_render_action(action, vocab), logp, action, score)
 
 
@@ -423,7 +471,7 @@ def load_sim_dataset(path) -> list[SimQuery]:
     than a skippable record.
     """
     queries: list[SimQuery] = []
-    with open(path, newline="") as fh:
+    with open_text(path, ConfigError, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"smiles", "target", "task", "label"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -545,8 +593,10 @@ def train(
     ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
     the policy actually emits). Each step builds one factor table for the
-    current policy and one for the reference, and each sample's walk reads
-    its log-probability under both.
+    current policy and, when the objective has a KL term, one for the
+    reference; each sample's walk reads its log-probability under both.
+    Without a KL term (``dapo``) nothing reads the reference log-prob, and
+    the walk reads the current table twice.
     """
     if dataset is None:
         if config.dataset is None:
@@ -564,8 +614,8 @@ def train(
         )
     if any(q.prompt.task != CLASSIFICATION for q in dataset):
         raise ConfigError("the simulator supports classification prompts only")
+    vocab = _vocabulary(policy)
     reference = policy.copy()
-    vocab = tuple(implemented_names())[: policy.n_attrs]
     curves = TrainingCurves()
 
     for step in range(1, config.steps + 1):
@@ -573,7 +623,9 @@ def train(
         n_samples = 0
         n_groups_kept = 0
         grad_acc = policy.zeros_like()
-        current, frozen = _Table(policy, T), _Table(reference, T)
+        current = _Table(policy, T)
+        # only the KL term reads the reference log-probs
+        frozen = _Table(reference, T) if cfg.effective_kl_beta else current
         for qid, query in enumerate(dataset):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, step, qid])

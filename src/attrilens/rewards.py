@@ -35,7 +35,7 @@ from pathlib import Path
 from . import descriptors
 from .molgraph import Molecule
 from .response import CLASSIFICATION, ParsedResponse
-from ._data import resolve_range_table
+from ._data import open_text, resolve_range_table
 
 __all__ = [
     "Interval",
@@ -151,7 +151,9 @@ def load_range_table(path_or_name: "str | Path") -> RangeTable:
     entries: dict = {}
     targets = set()
     canonical = {e.name for e in descriptors.registry()}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    with open_text(path, ParseError) as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         where = f"{path.name}:{lineno}"

@@ -571,3 +571,30 @@ def test_unwritable_out_exit_2_names_the_path(capsys, tmp_path, argv,
     assert ".tmp" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert list((tmp_path / "taken").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# undecodable input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("first, argv, want_code", [
+    ('{"id": "a"}', ("score", "{bad}"), 2),
+    ("smiles,label", ("split", "{bad}", "--outdir", "{tmp}/out"), 2),
+    ("smiles,label", ("dtree", "{bad}", "--out", "{tmp}/m.json"), 2),
+    ("smiles,target,task,label",
+     ("train-sim", "--dataset", "{bad}", "--out", "{tmp}/c.csv"), 3),
+    ("steps=1", ("train-sim", "--config", "{bad}", "--out", "{tmp}/c.csv"), 3),
+    ("# range table",
+     ("score", str(data_path("case_studies.jsonl")), "--table", "{bad}"), 3),
+], ids=["score", "split", "dtree", "train-sim-dataset", "train-sim-config",
+        "score-table"])
+def test_undecodable_input_names_file_and_line(capsys, tmp_path, first, argv,
+                                               want_code):
+    bad = tmp_path / "bad.txt"
+    # a valid first line, a blank line, then a byte that is not UTF-8
+    bad.write_bytes(first.encode() + b"\n\n\xff\n")
+    argv = [a.format(bad=bad, tmp=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == want_code
+    assert f"{bad}:3: not valid" in err

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from attrilens import policysim
 from attrilens._data import data_path
 from attrilens.policysim import (
     Action,
     ConfigError,
     PolicyParams,
     TrainConfig,
-    _categorical,
+    _pairwise_sum,
     _sampler,
-    _softmax,
     _Table,
     _walk,
     action_logp,
@@ -290,6 +290,14 @@ def test_nan_logit_fails_table_build(field, index):
         action_logp(policy, Action(True, None, 0, (), (), True), 0, 0.6)
 
 
+def test_count_above_vocabulary_raises_value_error():
+    # a count head with more entries than attributes, almost surely count 3
+    policy = PolicyParams(0.0, np.array([0.0, 0.0, 0.0, 50.0]), np.zeros(2),
+                          np.zeros(2), np.zeros(1))
+    with pytest.raises(ValueError):
+        sample_response(policy, _prompt(), np.random.default_rng(0))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_temperature_raises_value_error():
     policy = PolicyParams.zeros()
@@ -368,6 +376,82 @@ def _score_bytes(score):
                "logits_answer")))
 
 
+def _reference_row(z):
+    """``(cdf, p, log p)`` of the logits ``z`` (``-inf`` where masked) as
+    numpy builds them: a softmax, its cumulative sum scaled by the last
+    entry, and the log of every entry."""
+    e = np.exp(z - z.max())
+    p = e / e.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    if cdf[-1] != 1.0:
+        raise ValueError("bad probabilities")
+    with np.errstate(divide="ignore"):  # the masked zeros
+        return cdf, p, np.log(p)
+
+
+def _attr_table(logits):
+    """A table whose attribute logits at ``T = 1`` are ``logits``."""
+    policy = PolicyParams.zeros(n_attrs=len(logits), max_count=0)
+    policy.logits_attr[:] = logits
+    return _Table(policy, 1.0)
+
+
+def _bits(mask):
+    return sum(1 << i for i, bit in enumerate(mask) if bit)
+
+
+_TIED = np.array([0.0, -0.0, 1.5, -1.5, 30.0, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    tied=st.floats(min_value=0.0, max_value=1.0),
+    masked=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_attr_rows_are_bit_identical_to_numpy_softmax(n, seed, tied, masked):
+    # a share ``tied`` of the logits comes from a few values that include
+    # -inf, and a share ``masked`` of the attributes is already drawn
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=10.0, size=n)
+    ties = rng.random(n) < tied
+    z[ties] = rng.choice(_TIED, size=ties.sum())
+    mask = rng.random(n) < masked
+    assume(not mask.all())
+    # log of the masked zeros, and -inf - -inf when every live logit is -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            want = _reference_row(np.where(mask, -np.inf, z))
+        except ValueError:  # every live logit is -inf
+            want = None
+        try:
+            got = _attr_table(z).attr(_bits(mask))
+        except ValueError:
+            got = None
+        if want is None or got is None:
+            assert want is None and got is None
+            return
+        cdf, p = got
+        logs = [float(np.log(v)) for v in p]  # the walk's log of its draw
+    assert np.array(cdf).tobytes() == want[0].tobytes()
+    assert np.array(p).tobytes() == want[1].tobytes()
+    assert np.array(logs).tobytes() == want[2].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=700),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_pairwise_sum_is_numpy_add_reduce(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 21, size=n)
+    got = _pairwise_sum(values.tolist())
+    assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     logits=st.lists(st.floats(min_value=-30.0, max_value=30.0),
@@ -376,13 +460,13 @@ def _score_bytes(score):
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_inverse_cdf_draw_matches_generator_choice(logits, masked, seed):
-    mask = np.array(masked[:len(logits)])
-    assume(not mask.all())
-    p = _softmax(np.where(mask, -np.inf, np.array(logits)))
-    with np.errstate(divide="ignore"):  # log of the masked zeros
-        cdf, _, _ = _categorical(p, 1.0)
+    mask = masked[:len(logits)]
+    assume(not all(mask))
+    cdf, p = _attr_table(logits).attr(_bits(mask))
+    want = _reference_row(np.where(mask, -np.inf, np.array(logits)))[1]
+    assert np.array(p).tobytes() == want.tobytes()
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _sampler(ours)("categorical", cdf) == theirs.choice(p.size, p=p)
+    assert _sampler(ours)("categorical", cdf) == theirs.choice(len(p), p=want)
     assert ours.random() == theirs.random()
 
 
@@ -531,6 +615,59 @@ def test_train_rejects_mismatched_policy(tiny_dataset):
     policy = PolicyParams.zeros(n_queries=99)
     with pytest.raises(ConfigError):
         train(TrainConfig(steps=1), dataset=tiny_dataset, policy=policy)
+
+
+def test_train_rejects_policy_above_vocabulary(tiny_dataset):
+    policy = PolicyParams.zeros(n_attrs=20, n_queries=len(tiny_dataset))
+    with pytest.raises(ConfigError):
+        train(TrainConfig(steps=1), dataset=tiny_dataset, policy=policy)
+    with pytest.raises(ConfigError):
+        sample_response(policy, _prompt(), np.random.default_rng(0))
+
+
+def _counting_tables(monkeypatch):
+    """Patch ``_Table`` so that every table built is recorded."""
+    built = []
+
+    class Counted(_Table):
+        def __init__(self, policy, T):
+            built.append(policy)
+            super().__init__(policy, T)
+
+    monkeypatch.setattr(policysim, "_Table", Counted)
+    return built, Counted
+
+
+def test_grpo_builds_a_reference_table_per_step(tiny_dataset, monkeypatch):
+    built, _ = _counting_tables(monkeypatch)
+    train(TrainConfig(steps=2, seed=7), dataset=tiny_dataset)
+    assert len(built) == 4
+
+
+def test_dapo_reads_no_reference_table(tiny_dataset, monkeypatch):
+    built, Counted = _counting_tables(monkeypatch)
+    cfg = TrainConfig(steps=3, seed=7, algorithm="dapo")
+    curves, policy = train(cfg, dataset=tiny_dataset)
+    assert len(built) == 3
+
+    # the same run with a separate table of the initial policy as the
+    # reference: its log-probs differ after step 1, and nothing reads them
+    built.clear()
+    initial = PolicyParams.zeros(n_queries=len(tiny_dataset))
+    references = {}
+    walk = policysim._walk
+
+    def walk_with_reference(table, ref, query_index, pick):
+        assert ref is table
+        if table not in references:
+            references[table] = Counted(initial, table.T)
+        return walk(table, references[table], query_index, pick)
+
+    monkeypatch.setattr(policysim, "_walk", walk_with_reference)
+    curves_ref, policy_ref = train(cfg, dataset=tiny_dataset)
+    assert len(built) == 6
+    assert curves_ref == curves
+    assert _score_bytes(policy_ref) == _score_bytes(policy)
 
 
 def test_export_curves_roundtrip(tmp_path, tiny_dataset):
