@@ -133,6 +133,9 @@ def compute_advantages(rewards) -> np.ndarray:
     # Scaling by a power of two is exact, so it changes no rounding; it
     # only keeps the squares of tiny spreads from underflowing to 0.
     r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
+    # Shifting by r.min() is exact within a factor of two (Sterbenz) and
+    # keeps the rounded mean off the rewards: [4, 4 - ulp] -> [1, -1].
+    r = r - r.min()
     return (r - r.mean()) / r.std()
 
 

@@ -11,8 +11,8 @@ responses.
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -284,82 +284,54 @@ class ForestModel:
         return tuple(d.name for d in self.feature_ids)
 
 
-def _best_split(X, y, feat_candidates):
-    """Best (feature, threshold, gini) over candidate features.
+def _best_splits(values, inv, y, nodes, feats):
+    """Each node's best ``(feature, threshold)``, or ``(-1, nan)``.
 
-    Scans midpoints between consecutive distinct sorted values using
-    prefix sums of positive counts; returns None when nothing splits.
+    ``nodes`` holds each node's rows, ``feats`` its candidate features in
+    draw order. Counts per (node, bin) are exact, so each Gini value is bit
+    for bit a sorted scan's: the first minimum wins, and a later feature
+    only by more than 1e-15.
     """
-    n = len(y)
-    total_pos = y.sum()
-    best = None
-    best_gini = None
-    for f in feat_candidates:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        pos_prefix = np.cumsum(ys)
-        # candidate boundaries: between i and i+1 where value changes
-        change = np.nonzero(xs[1:] != xs[:-1])[0]
-        if change.size == 0:
-            continue
-        n_left = change + 1
-        n_right = n - n_left
-        pos_left = pos_prefix[change]
-        pos_right = total_pos - pos_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        gini = (
-            n_left * (2 * p_l * (1 - p_l))
-            + n_right * (2 * p_r * (1 - p_r))
-        ) / n
-        k = int(np.argmin(gini))
-        if best_gini is None or gini[k] < best_gini - 1e-15:
-            best_gini = float(gini[k])
-            thr = (xs[change[k]] + xs[change[k] + 1]) / 2.0
-            best = (int(f), float(thr))
-    if best is None:
-        return None
-    return best[0], best[1], best_gini
-
-
-def _grow_tree(X, y, max_depth, rng, n_candidates) -> Tree:
-    tree = Tree([], [], [], [], [])
-
-    def new_node():
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(0.0)
-        return len(tree.feature) - 1
-
-    def build(idx, depth):
-        node = new_node()
-        ys = y[idx]
-        p = ys.mean()
-        tree.value[node] = float(p)
-        if depth >= max_depth or p == 0.0 or p == 1.0 or len(idx) < 2:
-            return node
-        feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
-        found = _best_split(X[idx], ys, feats)
-        if found is None:
-            return node
-        f, thr, _ = found
-        mask = X[idx, f] <= thr
-        # float midpoints between near-equal values can collapse one side
-        if mask.all() or not mask.any():
-            return node
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        tree.left[node] = left
-        tree.right[node] = right
-        return node
-
-    build(np.arange(len(y)), 0)
-    return tree
+    ids = np.arange(len(nodes))
+    sizes = np.array([len(r) for r in nodes])
+    rows = np.concatenate(nodes)
+    owner = np.repeat(ids, sizes)
+    positive = y[rows] > 0
+    total_pos = np.bincount(owner[positive], minlength=len(nodes))
+    n_bins = values.shape[1]
+    best_gini = np.full(len(nodes), np.inf)
+    best_feat = np.full(len(nodes), -1)
+    best_thr = np.full(len(nodes), np.nan)
+    for f in feats.T:
+        key = owner * n_bins + inv[f[owner], rows]
+        count = np.bincount(key)
+        pos = np.bincount(key[positive], minlength=count.size)
+        nz = np.flatnonzero(count)
+        node = nz // n_bins
+        # a node's bins ascend in value; every node has at least one
+        first = np.searchsorted(node, ids)
+        n_left = np.cumsum(count[nz])
+        pos_left = np.cumsum(pos[nz])
+        n_left -= (n_left[first] - count[nz[first]])[node]
+        pos_left -= (pos_left[first] - pos[nz[first]])[node]
+        del count, pos
+        n_right = sizes[node] - n_left
+        pos_right = total_pos[node] - pos_left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_l = pos_left / n_left
+            p_r = pos_right / n_right
+            gini = (n_left * (2 * p_l * (1 - p_l))
+                    + n_right * (2 * p_r * (1 - p_r))) / (n_left + n_right)
+        gini[n_right == 0] = np.inf  # no boundary after a node's last bin
+        low = np.minimum.reduceat(gini, first)
+        hit = np.flatnonzero(gini == low[node])
+        better = low < best_gini - 1e-15
+        at = hit[np.searchsorted(node[hit], ids[better])]
+        best_gini[better] = low[better]
+        best_feat[better] = f[better]
+        fb, below, above = f[better], nz[at] % n_bins, nz[at + 1] % n_bins
+        best_thr[better] = (values[fb, below] + values[fb, above]) / 2.0
+    return zip(best_feat.tolist(), best_thr.tolist())
 
 
 def train_forest(
@@ -369,7 +341,11 @@ def train_forest(
 
     Each tree draws its own RNG stream from the seed, samples the training
     set with replacement, and considers ``ceil(sqrt(d))`` random features
-    per node.
+    per node. The trees grow in lockstep over per-forest feature bins: a
+    step scores the next preorder node of every unfinished tree at once,
+    by counting rows per distinct value. A tree makes its RNG draws in the
+    same order as when grown alone, so the trees equal those of
+    one-tree-at-a-time, depth-first growth.
     """
     records = list(records)
     y = np.array([1.0 if r.label else 0.0 for r in records])
@@ -382,22 +358,55 @@ def train_forest(
     X = featurize(records, ids)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite descriptor feature encountered")
-    n_candidates = max(1, int(np.ceil(np.sqrt(X.shape[1]))))
+    n, d = X.shape
+    n_candidates = max(1, int(np.ceil(np.sqrt(d))))
+    # bin b of feature f holds value values[f, b]: a row's bin is the first
+    # sorted position of its value, so equal values share one bin
+    values = np.sort(X, axis=0).T
+    inv = np.array([np.searchsorted(v, x) for v, x in zip(values, X.T)])
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    trees = []
-    n = len(records)
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        boot = rng.integers(0, n, size=n)
-        trees.append(
-            _grow_tree(X[boot], y[boot], cfg.max_depth, rng, n_candidates)
-        )
-    meta = {
-        "seed": cfg.seed,
-        "n_trees": cfg.n_trees,
-        "max_depth": cfg.max_depth,
-    }
-    return ForestModel(trees, ids, meta)
+    rngs = [np.random.default_rng(ss) for ss in streams]
+    # each tree's nodes as [feature, threshold, left, right, value]
+    grown = [[] for _ in rngs]
+    # pending nodes as (rows of X, depth, parent); a left child is always
+    # its parent's next node, so only a right child names its parent
+    stacks = [[(rng.integers(0, n, size=n), 0, -1)] for rng in rngs]
+    live = deque(range(cfg.n_trees))
+    while live:
+        # batches of about 2**14 rows bound the per-row arrays
+        batch, n_rows = [], 0
+        while live and n_rows < 1 << 14:
+            batch.append(live.popleft())
+            n_rows += len(stacks[batch[-1]][-1][0])
+        popped = [stacks[t].pop() for t in batch]
+        sizes = np.array([len(rows) for rows, _, _ in popped])
+        labels = y[np.concatenate([rows for rows, _, _ in popped])]
+        # 0/1 labels sum exactly, so each mean is bit for bit np.mean's
+        means = np.add.reduceat(labels, np.cumsum(sizes) - sizes) / sizes
+        open_nodes, feats = [], []
+        for t, (rows, depth, parent), p in zip(batch, popped, means.tolist()):
+            tree = grown[t]
+            if parent >= 0:
+                tree[parent][3] = len(tree)
+            tree.append([-1, 0.0, -1, -1, p])
+            if depth >= cfg.max_depth or p == 0.0 or p == 1.0 or len(rows) < 2:
+                continue
+            feats.append(rngs[t].choice(d, size=n_candidates, replace=False))
+            open_nodes.append((t, len(tree) - 1, rows, depth))
+        nodes = [rows for _, _, rows, _ in open_nodes]
+        found = _best_splits(values, inv, y, nodes, np.array(feats)) if nodes else ()
+        for (t, node, rows, depth), (f, thr) in zip(open_nodes, found):
+            mask = X[rows, f] <= thr
+            # a nan threshold (no split) or a float midpoint between
+            # near-equal values leaves one side empty
+            if not 0 < np.count_nonzero(mask) < len(rows):
+                continue
+            grown[t][node][:3] = f, thr, node + 1
+            stacks[t].append((rows[~mask], depth + 1, node))
+            stacks[t].append((rows[mask], depth + 1, -1))
+        live.extend(t for t in batch if stacks[t])
+    trees = [Tree(*map(list, zip(*tree))) for tree in grown]
+    return ForestModel(trees, ids, asdict(cfg))
 
 
 def predict_proba(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -435,42 +444,53 @@ def save_forest(model: ForestModel, fh) -> None:
 
 
 def load_forest(path) -> ForestModel:
+    """Read a :func:`save_forest` dump; a malformed one raises ValueError
+    naming ``path:line``."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _DUMP_HEADER:
+        lines = [ln.split() for ln in fh]
+    if not lines or lines[0] != _DUMP_HEADER.split():
         raise ValueError(f"{path}: not a {_DUMP_HEADER!r} file")
-    _, seed, n_trees, max_depth = lines[1].split()
-    names = lines[2].split()[1:]
-    ids = tuple(resolve_attribute(n) for n in names)
+    features = {d.name: d for d in registry() if d.implemented}
     trees: list[Tree] = []
-    i = 3
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "tree":
-            raise ValueError(f"{path}: expected tree header at line {i + 1}")
-        n_nodes = int(head[2])
-        tree = Tree([], [], [], [], [])
-        for j in range(n_nodes):
-            parts = lines[i + 1 + j].split()
-            if parts[0] == "leaf":
-                tree.feature.append(-1)
-                tree.threshold.append(0.0)
-                tree.left.append(-1)
-                tree.right.append(-1)
-                tree.value.append(float(parts[1]))
-            else:
-                tree.feature.append(int(parts[1]))
-                tree.threshold.append(float(parts[2]))
-                tree.left.append(int(parts[3]))
-                tree.right.append(int(parts[4]))
-                tree.value.append(0.0)
-        trees.append(tree)
-        i += 1 + n_nodes
-    meta = {
-        "seed": int(seed),
-        "n_trees": int(n_trees),
-        "max_depth": int(max_depth),
-    }
+    i = 1  # index of the line being read
+    try:
+        tag, seed, n_trees, max_depth = lines[1]
+        if tag != "meta":
+            raise ValueError
+        meta = {"seed": int(seed), "n_trees": int(n_trees),
+                "max_depth": int(max_depth)}
+        i = 2
+        tag, *names = lines[2]
+        ids = tuple(features[name] for name in names)
+        if tag != "features":
+            raise ValueError
+        i = 3
+        while i < len(lines):
+            tag, t, size = lines[i]
+            size = int(size)
+            if tag != "tree" or int(t) != len(trees) or size < 1:
+                raise ValueError
+            nodes = []
+            for node, i in enumerate(range(i + 1, i + 1 + size)):
+                if lines[i][0] == "leaf":
+                    _, value = lines[i]
+                    nodes.append((-1, 0.0, -1, -1, float(value)))
+                    continue
+                tag, f, thr, left, right = lines[i]
+                f, left, right = int(f), int(left), int(right)
+                # children follow their parent, so prediction terminates
+                if not (tag == "split" and 0 <= f < len(ids)
+                        and node < left < size and node < right < size):
+                    raise ValueError
+                nodes.append((f, float(thr), left, right, 0.0))
+            trees.append(Tree(*map(list, zip(*nodes))))
+            i += 1
+        if len(trees) != meta["n_trees"]:
+            i = 1
+            raise ValueError
+    except (IndexError, KeyError, ValueError):
+        what = "unexpected end of file" if i >= len(lines) else "bad line"
+        raise ValueError(f"{path}:{i + 1}: {what}") from None
     return ForestModel(trees, ids, meta)
 
 

@@ -156,7 +156,7 @@ def load_range_table(path_or_name: "str | Path") -> RangeTable:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        where = f"{path.name}:{lineno}"
+        where = f"{path}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"{where}: expected 3 tab-separated fields, got {len(parts)}")

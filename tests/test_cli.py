@@ -132,6 +132,17 @@ def test_score_unknown_table_exit_3(capsys):
     assert code == 3
 
 
+def test_score_bad_table_line_names_the_path(capsys, tmp_path):
+    table = tmp_path / "short.tsv"
+    table.write_text("BBBP\tMolWt\n")
+    code, _, err = run(
+        capsys, "score", str(data_path("case_studies.jsonl")),
+        "--table", str(table),
+    )
+    assert code == 3
+    assert f"{table}:1: expected 3 tab-separated fields, got 2" in err
+
+
 def test_score_target_not_in_table_exit_3(capsys, tmp_path):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(json.dumps({

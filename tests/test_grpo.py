@@ -145,6 +145,9 @@ def test_advantages_affine_invariant(rewards, scale, shift):
         max_size=16,
     )
 )
+# rewards one ulp apart, whose rounded mean used to equal the larger one
+@example(rewards=[4.0, 3.9999999999999996])
+@example(rewards=[4.0, 3.9999999999999996, 3.9999999999999996])
 def test_advantages_zero_mean_unit_std(rewards):
     adv = compute_advantages(rewards)
     assert abs(adv.mean()) < 1e-9

@@ -1,6 +1,7 @@
 """CSV loading, scaffold splitting, forest training, and AUC scoring."""
 
 import hashlib
+import io
 import itertools
 import re
 import subprocess
@@ -9,19 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import attrilens
 from attrilens import mlpipe
 from attrilens._data import data_path
+from attrilens.descriptors import registry
 from attrilens.mlpipe import (
     CsvSchema,
     DatasetRecord,
     DegenerateLabels,
     EmptyDataset,
     ForestConfig,
+    ForestModel,
     MissingColumn,
+    Tree,
     auc_score,
     eval_auc,
     featurize,
@@ -281,6 +285,196 @@ def test_load_forest_rejects_garbage(tmp_path):
     path.write_text("not a forest\n")
     with pytest.raises(ValueError):
         load_forest(path)
+
+
+def _truncate_tree(lines):
+    return lines[:-1], len(lines)
+
+
+def _drop_meta(lines):
+    return lines[:1] + lines[2:], 2
+
+
+def _unknown_feature(lines):
+    return lines[:2] + ["features MolWt NoSuchDescriptor"] + lines[3:], 3
+
+
+def _child_out_of_range(lines):
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("split"))
+    tag, f, thr, left, _ = lines[at].split()
+    bad = f"{tag} {f} {thr} {left} 99"
+    return lines[:at] + [bad] + lines[at + 1:], at + 1
+
+
+def _tree_count_mismatch(lines):
+    second = [i for i, ln in enumerate(lines) if ln.startswith("tree")][1]
+    return lines[:second], 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_tree, _drop_meta, _unknown_feature, _child_out_of_range,
+    _tree_count_mismatch,
+], ids=lambda fn: fn.__name__.lstrip("_"))
+def test_load_forest_rejects_malformed_dump_naming_line(tmp_path, corrupt):
+    records = _separable_records(tmp_path)
+    model = train_forest(records, ["MolWt", "HeavyAtomCount"],
+                         ForestConfig(n_trees=2, max_depth=2, seed=2))
+    buf = io.StringIO()
+    save_forest(model, buf)
+    lines, bad_line = corrupt(buf.getvalue().splitlines())
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{bad_line}:")):
+        load_forest(path)
+
+
+# ---------------------------------------------------------------------------
+# lockstep growth against one-tree-at-a-time growth
+# ---------------------------------------------------------------------------
+
+
+def _ref_best_split(X, y, feat_candidates):
+    """Best (feature, threshold, gini) over candidate features.
+
+    Scans midpoints between consecutive distinct sorted values using
+    prefix sums of positive counts; returns None when nothing splits.
+    """
+    n = len(y)
+    total_pos = y.sum()
+    best = None
+    best_gini = None
+    for f in feat_candidates:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        pos_prefix = np.cumsum(ys)
+        # candidate boundaries: between i and i+1 where value changes
+        change = np.nonzero(xs[1:] != xs[:-1])[0]
+        if change.size == 0:
+            continue
+        n_left = change + 1
+        n_right = n - n_left
+        pos_left = pos_prefix[change]
+        pos_right = total_pos - pos_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini = (
+            n_left * (2 * p_l * (1 - p_l))
+            + n_right * (2 * p_r * (1 - p_r))
+        ) / n
+        k = int(np.argmin(gini))
+        if best_gini is None or gini[k] < best_gini - 1e-15:
+            best_gini = float(gini[k])
+            thr = (xs[change[k]] + xs[change[k] + 1]) / 2.0
+            best = (int(f), float(thr))
+    if best is None:
+        return None
+    return best[0], best[1], best_gini
+
+
+def _ref_grow_tree(X, y, max_depth, rng, n_candidates) -> Tree:
+    """Recursive depth-first growth of one tree on its bootstrap sample."""
+    tree = Tree([], [], [], [], [])
+
+    def new_node():
+        tree.feature.append(-1)
+        tree.threshold.append(0.0)
+        tree.left.append(-1)
+        tree.right.append(-1)
+        tree.value.append(0.0)
+        return len(tree.feature) - 1
+
+    def build(idx, depth):
+        node = new_node()
+        ys = y[idx]
+        p = ys.mean()
+        tree.value[node] = float(p)
+        if depth >= max_depth or p == 0.0 or p == 1.0 or len(idx) < 2:
+            return node
+        feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
+        found = _ref_best_split(X[idx], ys, feats)
+        if found is None:
+            return node
+        f, thr, _ = found
+        mask = X[idx, f] <= thr
+        # float midpoints between near-equal values can collapse one side
+        if mask.all() or not mask.any():
+            return node
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        tree.feature[node] = f
+        tree.threshold[node] = thr
+        tree.left[node] = left
+        tree.right[node] = right
+        return node
+
+    build(np.arange(len(y)), 0)
+    return tree
+
+
+def _ref_forest(X, y, feature_ids, cfg):
+    """The forest grown one tree at a time, each from its own stream."""
+    n_candidates = max(1, int(np.ceil(np.sqrt(X.shape[1]))))
+    trees = []
+    n = len(y)
+    for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(ss)
+        boot = rng.integers(0, n, size=n)
+        trees.append(
+            _ref_grow_tree(X[boot], y[boot], cfg.max_depth, rng, n_candidates)
+        )
+    meta = {"seed": cfg.seed, "n_trees": cfg.n_trees,
+            "max_depth": cfg.max_depth}
+    return ForestModel(trees, tuple(feature_ids), meta)
+
+
+@st.composite
+def _forest_problems(draw):
+    """A feature matrix and two-class labels that stress split ties."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        # a small pool of values repeats in the column; a pool of one makes
+        # it constant, and nextafter neighbours give collapsing midpoints
+        pool = [draw(finite)]
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+        pool += draw(st.lists(finite, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n,
+                                     max_size=n)))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+        lambda ls: any(ls) and not all(ls)))
+    return np.array(columns).T, labels
+
+
+@settings(max_examples=200, deadline=None)
+# at this root the two features' best Gini values differ by less than
+# 1e-15, so the tolerance keeps the first feature's split
+@example(problem=(np.array([[2, 2], [0, 0], [0, 1], [2, 2], [0, 2], [2, 0],
+                            [1, 2], [1, 1]], dtype=float),
+                  [True, False, True, False, False, False, False, False]),
+         max_depth=1, n_trees=1, seed=546)
+@given(problem=_forest_problems(),
+       max_depth=st.integers(min_value=1, max_value=8),
+       n_trees=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**128))
+def test_lockstep_forest_dumps_like_one_tree_at_a_time(problem, max_depth,
+                                                       n_trees, seed):
+    X, labels = problem
+    mol = parse_smiles("C")
+    records = [DatasetRecord(str(i), lab, mol) for i, lab in enumerate(labels)]
+    names = [d.name for d in registry() if d.implemented][:X.shape[1]]
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlpipe, "featurize", lambda recs, ids: X)
+        model = train_forest(records, names, cfg)
+    y = np.array([1.0 if lab else 0.0 for lab in labels])
+    reference = _ref_forest(X, y, model.feature_ids, cfg)
+    got, want = io.StringIO(), io.StringIO()
+    save_forest(model, got)
+    save_forest(reference, want)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
