@@ -149,6 +149,10 @@ def _record_error(rec) -> str | None:
     if task == REGRESSION and (isinstance(label, bool)
                                or not isinstance(label, (int, float))):
         return f"regression label must be a number, got {label!r}"
+    # NaN, +-Infinity and integers past the float range (json.loads takes
+    # all of them) fail this comparison.
+    if task == REGRESSION and not abs(label) <= sys.float_info.max:
+        return "regression label must be a finite number"
     return None
 
 

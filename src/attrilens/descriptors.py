@@ -319,6 +319,7 @@ def _admits(tokens: _Tokens, element: str | None) -> bool:
     return el is None or el == element or (el == "hal" and element in _HALOGENS)
 
 
+@functools.lru_cache(maxsize=2)
 def _load_param_index(filename: str) -> dict[str | None, tuple[tuple[_Tokens, float], ...]]:
     """A parameter table's rows, indexed by the element they can match.
 
@@ -333,22 +334,21 @@ def _load_param_index(filename: str) -> dict[str | None, tuple[tuple[_Tokens, fl
     return {el: tuple(r for r in rows if _admits(r[0], el)) for el in named}
 
 
-def _match_contribution(index, env: _AtomEnv) -> float | None:
-    """The value of the first row whose pattern matches ``env``."""
+_CRIPPEN = "crippen_params.tsv"
+_TPSA = "tpsa_fragments.tsv"
+
+
+# The contribution depends only on the table and the atom's environment.
+# The 1836 distinct molecules of the bundled CSVs and case studies fill 104
+# entries; the cap bounds the memo for any other input.
+@functools.lru_cache(maxsize=1024)
+def _match_contribution(table: str, env: _AtomEnv) -> float | None:
+    """The value of the first row of ``table`` whose pattern matches ``env``."""
+    index = _load_param_index(table)
     for tokens, value in index.get(env.element, index[None]):
         if _pattern_matches(tokens, env):
             return value
     return None
-
-
-@functools.lru_cache(maxsize=1)
-def _crippen_table():
-    return _load_param_index("crippen_params.tsv")
-
-
-@functools.lru_cache(maxsize=1)
-def _tpsa_table():
-    return _load_param_index("tpsa_fragments.tsv")
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +357,7 @@ def _h_contribution(parent_element: str, parent_aromatic: bool) -> float:
     element and aromaticity."""
     env = _AtomEnv("H", False, 0, 0, "s", False, 1,
                    ((parent_element, parent_aromatic, "s"),))
-    return _match_contribution(_crippen_table(), env) or 0.0
+    return _match_contribution(_CRIPPEN, env) or 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +390,9 @@ def _heavy_atom_count(mol: Molecule) -> float:
 
 @_calculator("MolLogP")
 def _mol_logp(mol: Molecule) -> float:
-    table = _crippen_table()
     total = 0.0
     for atom in mol.atoms:
-        contrib = _match_contribution(table, _atom_env(mol, atom.index))
+        contrib = _match_contribution(_CRIPPEN, _atom_env(mol, atom.index))
         total += contrib if contrib is not None else 0.0
         if atom.total_h:
             total += atom.total_h * _h_contribution(atom.element, atom.aromatic)
@@ -402,12 +401,11 @@ def _mol_logp(mol: Molecule) -> float:
 
 @_calculator("TPSA")
 def _tpsa(mol: Molecule) -> float:
-    table = _tpsa_table()
     total = 0.0
     for atom in mol.atoms:
         if atom.element not in ("N", "O"):
             continue
-        contrib = _match_contribution(table, _atom_env(mol, atom.index))
+        contrib = _match_contribution(_TPSA, _atom_env(mol, atom.index))
         total += contrib if contrib is not None else 0.0
     return total
 

@@ -147,10 +147,6 @@ class Bond:
     def other(self, idx: int) -> int:
         return self.b if idx == self.a else self.a
 
-    @property
-    def order_value(self) -> float:
-        return BOND_ORDER_VALUE[self.order]
-
 
 class Molecule:
     """Immutable-by-convention molecular graph.
@@ -204,9 +200,6 @@ class Molecule:
 
     def atom_in_3ring(self, idx: int) -> bool:
         return idx in self._ring3_atoms
-
-    def bond_order_sum(self, idx: int) -> float:
-        return sum(self.bonds[bi].order_value for _, bi in self._adj[idx])
 
     def largest_component(self) -> "Molecule":
         """Sub-molecule holding the component with the most heavy atoms.
@@ -475,7 +468,6 @@ def _finalize(mol: Molecule) -> None:
     _perceive_rings(mol, *_spanning_forest(mol))
     _demote_nonring_aromatics(mol)
     _assign_implicit_h(mol)
-    _check_valences(mol)
     _aromatize_kekule(mol)
 
 
@@ -520,13 +512,22 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
 
     The bonds of the fundamental cycles of the breadth-first spanning forest
     (``parent``, ``depth``) are exactly the cycle bonds.  Candidates are
-    those fundamental cycles plus, for every cycle bond, the shortest cycle
-    through it, found by BFS with that bond removed over cycle bonds only:
-    no cycle crosses a bridge and the atoms beyond one are dead ends of the
-    search, so each path is the one a search over all bonds finds.  A greedy
-    pass over the candidates in (size, atoms) order keeps those linearly
-    independent over GF(2) in bond space until the cyclomatic number is met.
-    Each kept ring's bonds go to ``mol.ring_bond_ids``.
+    those fundamental cycles plus, for every bond of a fused ring system,
+    the shortest cycle through it, found by BFS with that bond removed over
+    fused bonds only: no cycle through a fused bond crosses a bridge or a
+    bond of an isolated ring, and the atoms beyond one are dead ends of the
+    search, so each path is the one a search over all bonds finds.  A
+    greedy pass over the candidates in (size, atoms) order keeps those
+    linearly independent over GF(2) in bond space until the cyclomatic
+    number is met.  Each kept ring's bonds go to ``mol.ring_bond_ids``.
+
+    A fundamental cycle that shares no bond with another one is isolated,
+    and its bonds need no search.  Every cycle is the GF(2) sum of the
+    fundamental cycles of its non-tree bonds; a cycle through a bond of an
+    isolated cycle F has F in that sum, and F is disjoint from the rest,
+    so the cycle holds every bond of F and, being a simple cycle, is F.
+    The search would only find F again, a duplicate of its candidate.  So
+    ring perception is linear in the size of an isolated ring or macrocycle.
 
     Two bonds between the same atoms raise :class:`UnbalancedRing`: with one
     of them in the tree, the other's fundamental cycle has two atoms; with
@@ -555,7 +556,7 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
         return True
 
     tree_bonds = {bi for _, bi in parent.values()}
-    cycle_bonds: set[int] = set()
+    uses = [0] * len(mol.bonds)  # fundamental cycles through each bond
     for bi, bond in enumerate(mol.bonds):
         if bi in tree_bonds:
             continue
@@ -574,13 +575,18 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
             raise UnbalancedRing(
                 f"ring closure duplicates the bond between atoms {bond.a} "
                 f"and {bond.b} in {mol.source!r}")
-        cycle_bonds.update(bonds)
+        for up in bonds:
+            uses[up] += 1
 
-    ring_adj = [[(j, bi) for j, bi in nbrs if bi in cycle_bonds]
-                for nbrs in mol._adj]
-    for bi in cycle_bonds:
-        bond = mol.bonds[bi]
-        record(*_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
+    # So far the candidates are the fundamental cycles.
+    fused = {bi for *_, bonds in candidates if any(uses[b] > 1 for b in bonds)
+             for bi in bonds}
+    if fused:
+        ring_adj = [[(j, bi) for j, bi in nbrs if bi in fused]
+                    for nbrs in mol._adj]
+        for bi in fused:
+            bond = mol.bonds[bi]
+            record(*_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
 
     candidates.sort(key=lambda c: (c[0], c[1]))
     basis: list[int] = []
@@ -642,42 +648,51 @@ def _demote_nonring_aromatics(mol: Molecule) -> None:
             atom.aromatic = False
 
 
-def _default_h(mol: Molecule, atom: Atom) -> int:
+def _order_sums(mol: Molecule) -> list[float]:
+    """Each atom's bond-order sum, from one pass over the bonds.
+
+    The sums are exact in any order: every addend is 1, 1.5, 2 or 3.
+    """
+    sums = [0.0] * len(mol.atoms)
+    for bond in mol.bonds:
+        value = BOND_ORDER_VALUE[bond.order]
+        sums[bond.a] += value
+        sums[bond.b] += value
+    return sums
+
+
+def _default_h(atom: Atom, degree: int, order_sum: float) -> int:
     """Hydrogens a bare organic-subset atom gets from its current bonds.
 
     The smallest default valence that fits wins. An aromatic atom uses
     degree + 1, the extra unit standing in for the delocalized pi bond;
     otherwise aromatic bond halves round up.
     """
-    if atom.aromatic:
-        used = mol.degree(atom.index) + 1
-    else:
-        used = int(mol.bond_order_sum(atom.index) + 0.999999)
+    used = degree + 1 if atom.aromatic else int(order_sum + 0.999999)
     valences = DEFAULT_VALENCES.get(atom.element, ())
     return min((v - used for v in valences if v >= used), default=0)
 
 
 def _assign_implicit_h(mol: Molecule) -> None:
-    for atom in mol.atoms:
-        # bracket atoms carry explicit counts only
-        atom.implicit_h = 0 if atom.bracket else _default_h(mol, atom)
+    """Give bare atoms their implicit hydrogens and reject over-valent ones.
 
-
-def _check_valences(mol: Molecule) -> None:
-    for atom in mol.atoms:
-        if atom.bracket or atom.element not in DEFAULT_VALENCES:
-            # Bracket atoms declare their own hydrogen count; no charge
-            # accounting is attempted for them.
+    Bracket atoms declare their own hydrogen count; no charge accounting
+    is attempted for them.  The first over-valent atom raises.
+    """
+    for atom, order_sum in zip(mol.atoms, _order_sums(mol)):
+        if atom.bracket:
+            atom.implicit_h = 0
+            continue
+        degree = len(mol._adj[atom.index])
+        atom.implicit_h = _default_h(atom, degree, order_sum)
+        if atom.element not in DEFAULT_VALENCES:
             continue
         max_val = max(DEFAULT_VALENCES[atom.element])
         if atom.aromatic:
-            if mol.degree(atom.index) > max_val:
-                raise ValenceError(
-                    f"aromatic {atom.element} with {mol.degree(atom.index)} "
-                    f"connections exceeds valence {max_val}")
-            continue
-        order_sum = mol.bond_order_sum(atom.index)
-        if order_sum > max_val + 1e-9:
+            if degree > max_val:
+                raise ValenceError(f"aromatic {atom.element} with {degree} "
+                                   f"connections exceeds valence {max_val}")
+        elif order_sum > max_val + 1e-9:
             raise ValenceError(
                 f"{atom.element} with explicit valence {order_sum:g} "
                 f"exceeds maximum {max_val} (in {mol.source!r})")
@@ -866,6 +881,7 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
         order.remove(root)
         order.insert(0, root)
 
+    order_sums = _order_sums(mol)
     visited = [False] * len(mol.atoms)
     ring_labels: dict[tuple[int, int], int] = {}
     label_busy: dict[int, bool] = {}
@@ -894,7 +910,8 @@ def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
                          or atom.isotope is not None
                          or sym not in ORGANIC_SUBSET
                          # would a bare token rederive the hydrogen count?
-                         or _default_h(mol, atom) != atom.total_h)
+                         or _default_h(atom, mol.degree(atom.index),
+                                       order_sums[atom.index]) != atom.total_h)
         if not needs_bracket:
             return lower
         parts = ["["]

@@ -124,6 +124,17 @@ def test_score_bad_record_exit_2_names_line(capsys, tmp_path, override):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("label", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "int-past-float-range"])
+def test_score_non_finite_regression_label_exit_2(capsys, tmp_path, label):
+    record = json.dumps({**_GOOD_RECORD, "task": "regression", "label": 1.5})
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(record + "\n" + record.replace("1.5", label) + "\n")
+    code, _, err = run(capsys, "score", str(corpus))
+    assert code == 2
+    assert f"{corpus}:2: regression label must be a finite number" in err
+
+
 def test_score_unknown_table_exit_3(capsys):
     code, _, _ = run(
         capsys, "score", str(data_path("case_studies.jsonl")),

@@ -211,25 +211,47 @@ def _bundled_molecules():
 
 
 def test_indexed_tables_match_linear_scan():
-    crippen = descriptors._read_param_rows("crippen_params.tsv")
-    tpsa = descriptors._read_param_rows("tpsa_fragments.tsv")
+    tables = [(descriptors._CRIPPEN,
+               descriptors._read_param_rows(descriptors._CRIPPEN)),
+              (descriptors._TPSA,
+               descriptors._read_param_rows(descriptors._TPSA))]
+    memo = descriptors._match_contribution
     seen = 0
     for mol in _bundled_molecules():
         for atom in mol.atoms:
             env = descriptors._atom_env(mol, atom.index)
-            assert descriptors._match_contribution(
-                descriptors._crippen_table(), env) == \
-                _linear_contribution(crippen, env)
-            assert descriptors._match_contribution(
-                descriptors._tpsa_table(), env) == \
-                _linear_contribution(tpsa, env)
+            for table, rows in tables:
+                expected = _linear_contribution(rows, env)
+                assert memo.__wrapped__(table, env) == expected
+                assert memo(table, env) == expected
             h_env = descriptors._AtomEnv(
                 "H", False, 0, 0, "s", False, 1,
                 ((atom.element, atom.aromatic, "s"),))
             assert descriptors._h_contribution(atom.element, atom.aromatic) \
-                == (_linear_contribution(crippen, h_env) or 0.0)
+                == (_linear_contribution(tables[0][1], h_env) or 0.0)
             seen += 1
     assert seen > 10_000
+
+
+def test_contribution_memo_is_bounded_and_changes_no_value():
+    memo = descriptors._match_contribution
+    assert isinstance(memo.cache_info().maxsize, int)
+    texts = [mol.source for mol in _bundled_molecules()]
+
+    def values(text):
+        mol = parse_smiles(text)
+        return [compute(mol, name).value.hex() for name in ("MolLogP", "TPSA")]
+
+    shared = [values(text) for text in texts]
+    for text, expected in zip(texts, shared):
+        memo.cache_clear()
+        assert values(text) == expected, text    # cold memo
+        assert values(text) == expected, text    # warm from this molecule
+    memo.cache_clear()
+    assert [values(text) for text in texts] == shared
+    # every distinct environment of the bundled molecules fits
+    info = memo.cache_info()
+    assert info.currsize < info.maxsize
 
 
 # ---------------------------------------------------------------------------

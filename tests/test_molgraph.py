@@ -139,6 +139,72 @@ def test_errors_are_smiles_errors():
         assert issubclass(exc, SmilesError)
 
 
+def _reference_order_sum(mol, idx):
+    return sum(molgraph.BOND_ORDER_VALUE[mol.bonds[bi].order]
+               for _, bi in mol._adj[idx])
+
+
+def _reference_assign_implicit_h(mol):
+    """Reference: implicit hydrogens from per-atom bond-order sums over the
+    adjacency, then a separate valence-check pass."""
+    for atom in mol.atoms:
+        if atom.bracket:
+            atom.implicit_h = 0
+            continue
+        if atom.aromatic:
+            used = mol.degree(atom.index) + 1
+        else:
+            used = int(_reference_order_sum(mol, atom.index) + 0.999999)
+        valences = molgraph.DEFAULT_VALENCES.get(atom.element, ())
+        atom.implicit_h = min((v - used for v in valences if v >= used),
+                              default=0)
+    for atom in mol.atoms:
+        if atom.bracket or atom.element not in molgraph.DEFAULT_VALENCES:
+            continue
+        max_val = max(molgraph.DEFAULT_VALENCES[atom.element])
+        if atom.aromatic:
+            if mol.degree(atom.index) > max_val:
+                raise ValenceError(
+                    f"aromatic {atom.element} with {mol.degree(atom.index)} "
+                    f"connections exceeds valence {max_val}")
+            continue
+        order_sum = _reference_order_sum(mol, atom.index)
+        if order_sum > max_val + 1e-9:
+            raise ValenceError(
+                f"{atom.element} with explicit valence {order_sum:g} "
+                f"exceeds maximum {max_val} (in {mol.source!r})")
+
+
+def _hydrogens_or_error(text):
+    try:
+        mol = parse_smiles(text)
+    except SmilesError as exc:
+        return type(exc), str(exc)
+    return ([a.total_h for a in mol.atoms],
+            [a.total_h for a in murcko_scaffold(mol).atoms])
+
+
+def test_one_valence_pass_matches_the_two_pass_reference(monkeypatch):
+    over_valent = [
+        "C(C)(C)(C)(C)C", "FC(F)(F)(F)F", "c1cc(C)(C)(C)ccc1",
+        "c1cco(C)c1", "O=S(=O)(=O)=O", "P(C)(C)(C)(C)(C)C",
+        # the first over-valent atom names the error
+        "CC(C)(C)(C)(C)C.c1ccc(C)(C)(C)c1", "c1ccc(C)(C)(C)c1.FC(F)(F)(F)F",
+        "[C](C)(C)(C)(C)C", "C1=CC=CC=C1", "OS(=O)(=O)O", "P(Cl)(Cl)(Cl)(Cl)Cl",
+    ]
+    inputs = _bundled_smiles() + list(SMILES_CORPUS) + over_valent
+    inputs += [write_smiles(parse_smiles(text), rng=np.random.default_rng(seed))
+               for text in SMILES_CORPUS for seed in range(3)]
+    ours = [_hydrogens_or_error(text) for text in inputs]
+    monkeypatch.setattr(molgraph, "_assign_implicit_h",
+                        _reference_assign_implicit_h)
+    for text, outcome in zip(inputs, ours):
+        assert outcome == _hydrogens_or_error(text), text
+    errors = [outcome for outcome in ours if isinstance(outcome[0], type)]
+    assert len(errors) == 8
+    assert all(exc is ValenceError for exc, _ in errors)
+
+
 # ---------------------------------------------------------------------------
 # rings and aromaticity
 # ---------------------------------------------------------------------------
@@ -205,10 +271,10 @@ def _bundled_smiles():
 
 
 # Spiro, tetrahedrane, cubane, a cage whose rings change if the search
-# through its last bond is skipped, 300 rings, a long chain.
+# through its last bond is skipped, 300 rings, a long chain, a 300-atom ring.
 _LARGE_CASES = ["C1CC11CC1", "C12C3C1C23", "C12C3C4C1C5C2C3C45",
                 "C(C12)C(C34)C(C54)C2C5C13", "C1CCCCC1" * 300,
-                "C1CCCCC1" + "C" * 2000]
+                "C1CCCCC1" + "C" * 2000, "C1" + "C" * 298 + "C1"]
 
 
 def _reference_shortest_path(mol, src, dst, skip_bond):
@@ -339,18 +405,50 @@ def test_ring_perception_matches_all_bonds_search(monkeypatch):
         assert state == _ring_state(parse_smiles(text)), text
 
 
-def test_ring_perception_searches_only_cycle_bonds(monkeypatch):
-    calls = []
+def _count_searches(monkeypatch):
+    """The bond each later ``_shortest_path_avoiding`` call skips."""
+    skipped = []
     search = molgraph._shortest_path_avoiding
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
+    def counted(adj, src, dst, skip_bond):
+        skipped.append(skip_bond)
+        return search(adj, src, dst, skip_bond)
 
     monkeypatch.setattr(molgraph, "_shortest_path_avoiding", counted)
-    mol = parse_smiles("C1CCCCC1" + "C" * 2000)
-    assert len(calls) == 6
-    assert mol.rings == [(0, 1, 2, 3, 4, 5)]
+    return skipped
+
+
+# (SMILES, atoms of its fused ring systems)
+_SEARCH_CASES = [
+    ("C1CCCCC1" + "C" * 2000, ()),
+    ("C1CCC2(CC1)CCCC2", ()),                                 # spiro
+    ("c1ccccc1-c1ccccc1", ()),                                # biphenyl
+    ("c1ccc2ccccc2c1", range(10)),                            # naphthalene
+    ("C1CC2CCC1C2", range(7)),                                # norbornane
+    # 2-phenylnaphthalene: the phenyl ring is atoms 6-11
+    ("c1ccc2cc(-c3ccccc3)ccc2c1", [*range(6), *range(12, 16)]),
+]
+
+
+def test_ring_perception_searches_only_cycle_bonds(monkeypatch):
+    """Isolated rings need no search; each fused bond is searched once."""
+    skipped = _count_searches(monkeypatch)
+    for smiles, fused_atoms in _SEARCH_CASES:
+        mol = parse_smiles(smiles)
+        fused = set(fused_atoms)
+        assert sorted(skipped) == [bi for bi, bond in enumerate(mol.bonds)
+                                   if bond.a in fused and bond.b in fused], smiles
+        skipped.clear()
+    assert parse_smiles(_SEARCH_CASES[0][0]).rings == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_macrocycle_needs_no_cycle_search(monkeypatch):
+    skipped = _count_searches(monkeypatch)
+    mol = parse_smiles("C1" + "C" * 4998 + "C1")
+    assert [len(ring) for ring in mol.rings] == [5000]
+    rewrite = write_smiles(mol, rng=np.random.default_rng(0))
+    assert scaffold_key(parse_smiles(rewrite)) == scaffold_key(mol)
+    assert skipped == []
 
 
 def _reference_num_aromatic_rings(mol):
