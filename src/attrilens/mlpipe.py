@@ -446,7 +446,7 @@ def save_forest(model: ForestModel, fh) -> None:
 def load_forest(path) -> ForestModel:
     """Read a :func:`save_forest` dump; a malformed one raises ValueError
     naming ``path:line``."""
-    with open(path) as fh:
+    with open_text(path, ValueError) as fh:
         lines = [ln.split() for ln in fh]
     if not lines or lines[0] != _DUMP_HEADER.split():
         raise ValueError(f"{path}: not a {_DUMP_HEADER!r} file")

@@ -9,6 +9,14 @@ training exercises the production parser and rewards end to end. The point
 is to reproduce which reward components are learned quickly and which ones
 slowly -- not model quality.
 
+Bits are drawn by comparing one uniform draw with their probability, the
+attribute count by Gumbel-max over its log-probabilities, and the ordered
+attributes by Gumbel-top-k over their logits: add one Gumbel noise vector
+and take the ``count`` largest entries, which draws the same distribution
+as ``count`` sequential softmax draws without replacement (Kool, van Hoof
+& Welling 2019, arXiv 1903.06059). Their log-probability is the
+Plackett-Luce product of those sequential draws, computed in closed form.
+
 Training is plain gradient ascent on the analytic policy gradient of the
 group-relative clipped objective (:mod:`attrilens.grpo`), one update per
 step, on-policy (the importance ratio is 1 at the point of each update,
@@ -20,8 +28,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
-from itertools import accumulate
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,70 +190,51 @@ _BAD_PROBABILITIES = (
 _LOG_OMIT = float(np.log(1.0 / len(_TAG_NAMES)))
 
 
-def _pairwise_sum(v: list) -> float:
-    """``sum(v)`` in the order ``np.add.reduce`` adds float64: in sequence
-    below 8 terms, in 8 running sums combined as a tree (then the tail in
-    sequence) up to 128, and as two halves cut at a multiple of 8 above."""
-    n = len(v)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-    res, tail = 0.0, v
-    if n >= 8:
-        r = v[:8]
-        for i in range(8, n - n % 8, 8):
-            for j in range(8):
-                r[j] += v[i + j]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = v[n - n % 8:]
-    for x in tail:
-        res += x
-    return res
+def _plackett_luce(z: np.ndarray, attrs) -> tuple[float, np.ndarray]:
+    """Log-probability of drawing ``attrs`` in order, without replacement,
+    from the categorical with logits ``z``; and the sum over the draws of
+    each draw's masked softmax.
 
-
-def _row(e: list) -> tuple[list, list]:
-    """The categorical row ``(cdf, p)`` of the weights ``e = exp(z - m)``.
-
-    It is bit for bit numpy's softmax of the logits ``z`` and the CDF
-    ``Generator.choice`` builds from it. A NaN weight (NaN logits, or
-    ``logit/T`` overflowing) raises ``ValueError``.
+    Draw ``t`` picks ``i_t`` from the entries not yet drawn, so the
+    log-probability has the Plackett-Luce form
+    ``sum_t (z[i_t] - log sum_{j live at t} exp(z[j]))``. With the undrawn
+    entries first and then the drawn ones from last to first, the entries
+    live at draw ``t`` are a prefix, so one ``np.logaddexp.accumulate``
+    gives every draw's live log-mass. A drawn entry with ``z = -inf`` has
+    log-prob ``-inf``; an index outside ``z``, a repeated index, or a draw
+    with no live mass left raises ``ValueError``.
     """
-    total = _pairwise_sum(e)
-    p = [x / total for x in e]
-    cdf = list(accumulate(p))
-    last = cdf[-1]
-    cdf = [c / last for c in cdf]
-    # every p is in [0, 1] unless a NaN weight makes the sum NaN, and a
-    # NaN anywhere makes the last CDF entry NaN
-    if cdf[-1] != 1.0:
-        raise ValueError(_BAD_PROBABILITIES)
-    return cdf, p
+    n, k = z.size, len(attrs)
+    order = [j for j in range(n) if j not in attrs] + list(attrs[::-1])
+    if len(order) != n:
+        raise ValueError(f"attributes {attrs} are not distinct indices "
+                         f"below {n}")
+    a = z[order]
+    mass = np.logaddexp.accumulate(a)[n - k:]  # live log-mass, last draw first
+    if k and mass[0] == -np.inf:
+        raise ValueError("no attribute with positive probability is left "
+                         "to draw")
+    live = np.arange(n) <= np.arange(n - k, n)[:, None]
+    p_sum = np.empty(n)
+    p_sum[order] = np.exp(np.where(live, a - mass[:, None], -np.inf)).sum(0)
+    return float((a[n - k:] - mass).sum()), p_sum
 
 
 class _Table:
     """Every factor distribution of one policy at temperature ``T``.
 
-    A bit row is ``(p, (log(1-p), log p), ((0-p)/T, (1-p)/T))`` and a
-    categorical row ``(cdf, p)`` (see :func:`_row`), in Python floats and
-    lists. The CDF is the one ``Generator.choice`` builds, so
-    ``bisect_right(cdf, rng.random())`` draws the index ``rng.choice``
-    would, from the same single ``random()``. Masked attribute rows are
-    keyed by the bit set of the attributes already drawn and built on
-    first use, from the logits as they were when the table was built; their
-    weights depend only on the largest live logit ``m``, so the table takes
-    one ``exp`` per distinct ``m``. A NaN, infinite or negative probability
-    (NaN logits, or ``logit/T`` overflowing) raises ``ValueError``.
+    A bit row is ``(p, (log(1-p), log p), ((0-p)/T, (1-p)/T))`` in Python
+    floats. The count factor is one log-softmax, ``count_logp``. The
+    attribute factor is its scaled logits ``attr_z = logits_attr / T``:
+    the ordered draw of distinct attributes is Plackett-Luce in these
+    logits, so no masked row is ever built (see :func:`_plackett_luce`).
+    A NaN logit, or ``logit/T`` overflowing, raises ``ValueError``.
     """
 
     def __init__(self, policy: PolicyParams, T: float):
         self.policy = policy
         self.T = T
         self.inv_T = 1.0 / T
-        self._attr_logits = policy.logits_attr / T
-        # largest logit first
-        self._attr_order = (-self._attr_logits).argsort(kind="stable").tolist()
-        self._attr_exp: dict[float, list] = {}
-        self._attr: dict[int, tuple] = {}
         p = _sigmoid(np.concatenate((
             [policy.logit_format], policy.logits_polarity,
             policy.logits_answer,
@@ -255,9 +242,14 @@ class _Table:
         if not ((p >= 0.0) & (p <= 1.0)).all():
             raise ValueError(_BAD_PROBABILITIES)
         z = policy.logits_count / T
-        self.count = _row(np.exp(z - z.max()).tolist())
-        self.count_score = np.array(self.count[1]) / -T  # -(p/T) exactly
-        self.attr(0)  # the unmasked row checks every attribute logit
+        m = z.max()  # NaN if any logit is NaN
+        if not -np.inf < m < np.inf:
+            raise ValueError(_BAD_PROBABILITIES)
+        self.count_logp = z - (m + np.log(np.exp(z - m).sum()))
+        self.count_score = np.exp(self.count_logp) / -T
+        self.attr_z = policy.logits_attr / T
+        if not (self.attr_z < np.inf).all():
+            raise ValueError(_BAD_PROBABILITIES)
         with np.errstate(divide="ignore"):
             rows = list(zip(
                 p.tolist(),
@@ -268,43 +260,24 @@ class _Table:
         self.polarity = rows[1:1 + policy.n_attrs]
         self.answer = rows[1 + policy.n_attrs:]
 
-    def attr(self, drawn: int) -> tuple:
-        """The attribute distribution with the set bits of ``drawn`` masked."""
-        row = self._attr.get(drawn)
-        if row is None:
-            # m is the largest live logit; a NaN logit, sorted last, still
-            # makes its weight and so the whole row NaN
-            for k in self._attr_order:
-                if not drawn >> k & 1:
-                    break
-            else:  # a count head longer than the vocabulary
-                raise ValueError("every attribute is already drawn")
-            m = float(self._attr_logits[k])
-            e = self._attr_exp.get(m)
-            if e is None:
-                # a masked logit may exceed m; it must not overflow exp
-                z = np.minimum(self._attr_logits - m, 0.0)
-                e = self._attr_exp[m] = np.exp(z).tolist()
-            # a masked weight is exp(-inf - m) = 0
-            e = [0.0 if drawn >> i & 1 else x for i, x in enumerate(e)]
-            row = self._attr[drawn] = _row(e)
-        return row
-
 
 def _walk(table: _Table, ref: _Table, query_index: int, pick):
     """Visit every factor of the policy once, in sampling order.
 
     ``pick(kind, p)`` chooses each factor's outcome: a bool for
     ``kind="bit"`` (``p`` is the probability of True), an index below ``p``
-    for the equiprobable ``kind="uniform"``, and an index into the CDF
-    ``p`` for ``kind="categorical"``. Returns the action, its exact
-    log-probability under ``table``'s policy and under ``ref``'s (the same
-    terms, in the same order; ``ref`` may be ``table`` itself), and its
-    score under ``table``'s policy -- the gradient of ``logp`` with respect
-    to every logit, in the standard forms at temperature ``T``:
-    ``(b - p)/T`` for a Bernoulli bit and ``(onehot - p)/T`` for each
-    categorical draw, with already-drawn attributes masked out of later
-    draws. The uniform choice of which tag pair to omit contributes
+    for the equiprobable ``kind="uniform"``, an index into the
+    log-probabilities ``p`` for ``kind="categorical"``, and for
+    ``kind="ranking"`` with ``p = (z, count)`` the ``count`` distinct
+    attribute indices, in draw order, of a without-replacement draw from
+    the logits ``z``. Returns the action, its exact log-probability under
+    ``table``'s policy and under ``ref``'s (the same terms, in the same
+    order; ``ref`` may be ``table`` itself), and its score under
+    ``table``'s policy -- the gradient of ``logp`` with respect to every
+    logit, in the standard forms at temperature ``T``: ``(b - p)/T`` for a
+    Bernoulli bit and ``(onehot - p)/T`` for each categorical draw, where
+    each attribute draw's ``p`` is the softmax over the attributes not yet
+    drawn. The uniform choice of which tag pair to omit contributes
     ``log(1/3)`` to each log-probability and nothing to the score.
     """
     T = table.T
@@ -324,28 +297,23 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
         logp_ref += _LOG_OMIT
 
     # attribute count
-    cdf, p = table.count
-    count = pick("categorical", cdf)
-    logp += float(np.log(p[count]))
-    logp_ref += float(np.log(ref.count[1][count]))
+    count = pick("categorical", table.count_logp)
+    logp += float(table.count_logp[count])
+    logp_ref += float(ref.count_logp[count])
     score.logits_count = table.count_score.copy()
     score.logits_count[count] += table.inv_T
 
-    # ordered without-replacement attribute draws; drawn attributes have
-    # p = 0 in later draws, so subtracting all of p/T leaves them as they are
-    attrs = []
-    drawn = 0
-    attr_score = [0.0] * table.policy.n_attrs
-    for _ in range(count):
-        cdf, p = table.attr(drawn)
-        idx = pick("categorical", cdf)
-        logp += float(np.log(p[idx]))
-        logp_ref += float(np.log(ref.attr(drawn)[1][idx]))
-        attr_score = [a - v / T for a, v in zip(attr_score, p)]
-        attr_score[idx] += table.inv_T
-        drawn |= 1 << idx
-        attrs.append(idx)
-    score.logits_attr = np.array(attr_score)
+    # ordered without-replacement attribute draws, in Plackett-Luce form;
+    # a count above the vocabulary leaves the ranking short
+    attrs = pick("ranking", (table.attr_z, count))
+    if len(attrs) != count:
+        raise ValueError(f"a count of {count} needs as many attributes, "
+                         f"got {attrs}")
+    term, p_sum = _plackett_luce(table.attr_z, attrs)
+    logp += term
+    logp_ref += term if ref is table else _plackett_luce(ref.attr_z, attrs)[0]
+    score.logits_attr = p_sum / -T
+    score.logits_attr[list(attrs)] += table.inv_T
 
     # per-attribute polarity bits
     polarities = []
@@ -369,7 +337,6 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
     return action, logp, logp_ref, score
 
 
-@np.errstate(divide="ignore")  # an action may draw a p = 0 entry
 def action_logp(
     policy: PolicyParams,
     action: Action,
@@ -377,11 +344,13 @@ def action_logp(
     temperature: float,
 ) -> tuple[float, PolicyParams]:
     """Exact factorized log-probability of ``action`` and its score."""
+    if not 0 <= action.count <= policy.max_count:
+        raise ValueError(f"inconsistent action {action}")
     outcomes = iter((
         action.format_ok,
         *(() if action.format_ok else (_TAG_NAMES.index(action.omit),)),
         action.count,
-        *action.attrs,
+        action.attrs,
         *action.polarities,
         action.answer,
     ))
@@ -398,14 +367,22 @@ def action_logp(
 
 
 def _sampler(rng: np.random.Generator):
-    """The ``pick`` that draws each factor's outcome from ``rng``."""
+    """The ``pick`` that draws each factor's outcome from ``rng``: bits by
+    ``rng.random()``, the count by Gumbel-max over its log-probabilities,
+    and the ordered attributes by Gumbel-top-k over their logits (Kool,
+    van Hoof & Welling 2019), which draws exactly the sequential
+    without-replacement distribution from one noise vector."""
 
     def draw(kind, p):
         if kind == "bit":
             return rng.random() < p
         if kind == "uniform":
             return int(rng.integers(p))
-        return bisect_right(p, rng.random())
+        if kind == "categorical":
+            return int((p + rng.gumbel(size=p.size)).argmax())
+        z, count = p
+        return tuple((z + rng.gumbel(size=z.size)).argsort()[::-1][:count]
+                     .tolist())
 
     return draw
 

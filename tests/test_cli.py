@@ -124,6 +124,18 @@ def test_score_bad_record_exit_2_names_line(capsys, tmp_path, override):
     assert not out_file.exists()
 
 
+def test_score_target_missing_from_table_exit_3_before_any_row(capsys,
+                                                              tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, "target": "FOO"}) + "\n")
+    for fmt in ("json", "plain"):
+        code, out, err = run(capsys, "score", str(corpus), "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert f"{corpus}:2:" in err and "'FOO'" in err
+
+
 @pytest.mark.parametrize("label", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
                          ids=["nan", "inf", "-inf", "int-past-float-range"])
 def test_score_non_finite_regression_label_exit_2(capsys, tmp_path, label):

@@ -311,9 +311,14 @@ def _tree_count_mismatch(lines):
     return lines[:second], 2
 
 
+def _non_utf8_byte(lines):
+    # "\udcff" is the byte 0xff under the surrogateescape error handler
+    return lines[:3] + [lines[3] + " \udcff"] + lines[4:], 4
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate_tree, _drop_meta, _unknown_feature, _child_out_of_range,
-    _tree_count_mismatch,
+    _tree_count_mismatch, _non_utf8_byte,
 ], ids=lambda fn: fn.__name__.lstrip("_"))
 def test_load_forest_rejects_malformed_dump_naming_line(tmp_path, corrupt):
     records = _separable_records(tmp_path)
@@ -323,7 +328,8 @@ def test_load_forest_rejects_malformed_dump_naming_line(tmp_path, corrupt):
     save_forest(model, buf)
     lines, bad_line = corrupt(buf.getvalue().splitlines())
     path = tmp_path / "model.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8",
+                                                       "surrogateescape"))
     with pytest.raises(ValueError, match=re.escape(f"{path}:{bad_line}:")):
         load_forest(path)
 

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrilens import policysim
@@ -15,7 +16,7 @@ from attrilens.policysim import (
     ConfigError,
     PolicyParams,
     TrainConfig,
-    _pairwise_sum,
+    _plackett_luce,
     _sampler,
     _Table,
     _walk,
@@ -172,6 +173,10 @@ def test_score_gradient_matches_finite_differences():
         Action(True, None, 1, (0, 1), (1, 0), True),     # too many attrs
         Action(True, None, 1, (0,), (), True),           # missing polarity
         Action(True, "think", 0, (), (), True),          # omit when well formed
+        Action(True, None, 1, (3,), (1,), True),         # index past the end
+        Action(True, None, 1, (-1,), (1,), True),        # negative index
+        Action(True, None, 2, (0, 0), (1, 1), True),     # repeated attr
+        Action(True, None, 3, (0, 1, 2), (1, 1, 1), True),  # count past head
     ],
 )
 def test_action_logp_rejects_inconsistent_action(action):
@@ -308,181 +313,158 @@ def test_overflowing_temperature_raises_value_error():
 
 
 # ---------------------------------------------------------------------------
-# step tables: bit-identical to the per-draw sampler
+# Gumbel-top-k draws and Plackett-Luce log-probs
 # ---------------------------------------------------------------------------
 
 
-def _reference_sample(policy, rng, query_index, T):
-    """Per-draw sampler: every factor's sigmoid or softmax is recomputed and
-    categorical draws go through ``rng.choice``; returns (action, logp,
-    score)."""
+def _sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
 
-    def sigmoid(x):
-        if x >= 0:
-            return 1.0 / (1.0 + np.exp(-x))
-        e = np.exp(x)
-        return e / (1.0 + e)
 
-    def softmax(logits):
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
-
-    score = policy.zeros_like()
-    logp = 0.0
-    p_ok = sigmoid(policy.logit_format / T)
-    format_ok = bool(rng.random() < p_ok)
-    logp += np.log(p_ok if format_ok else 1.0 - p_ok)
-    score.logit_format = ((1.0 if format_ok else 0.0) - p_ok) / T
-    omit = None
-    if not format_ok:
-        omit = ("think", "name", "answer")[int(rng.integers(3))]
-        logp += np.log(1.0 / 3)
-    p_count = softmax(policy.logits_count / T)
-    count = int(rng.choice(p_count.size, p=p_count))
-    logp += np.log(p_count[count])
-    score.logits_count = -p_count / T
-    score.logits_count[count] += 1.0 / T
-    attrs = []
-    mask = np.zeros(policy.n_attrs, dtype=bool)
-    for _ in range(count):
-        p_attr = softmax(np.where(mask, -np.inf, policy.logits_attr / T))
-        idx = int(rng.choice(p_attr.size, p=p_attr))
-        logp += np.log(p_attr[idx])
-        live = ~mask
-        score.logits_attr[live] -= p_attr[live] / T
-        score.logits_attr[idx] += 1.0 / T
-        mask[idx] = True
-        attrs.append(idx)
-    polarities = []
+def _sequential_softmax(z, attrs):
+    """``(logp, p_sum, p_min)`` of drawing ``attrs`` in order from the
+    logits ``z``, one masked numpy softmax per draw: the log-prob, the sum
+    of the softmaxes and the smallest drawn probability. None when a draw
+    finds no live mass."""
+    mask = np.zeros(z.size, dtype=bool)
+    logp, p_sum, p_min = 0.0, np.zeros(z.size), 1.0
     for idx in attrs:
-        p_pro = sigmoid(policy.logits_polarity[idx] / T)
-        bit = int(rng.random() < p_pro)
+        live = np.where(mask, -np.inf, z)
+        if live.max() == -np.inf:
+            return None
+        e = np.exp(live - live.max())
+        p = e / e.sum()
+        with np.errstate(divide="ignore"):  # p = 0 when z = -inf
+            logp += np.log(p[idx])
+        p_sum += p
+        p_min = min(p_min, p[idx])
+        mask[idx] = True
+    return float(logp), p_sum, p_min
+
+
+def _reference_logp(policy, action, query_index, T):
+    """Per-draw replay of ``action``: every factor's sigmoid or softmax is
+    recomputed in numpy, each attribute draw from a softmax over the
+    attributes not yet drawn; returns (logp, score)."""
+    score = policy.zeros_like()
+    p_ok = _sigmoid(policy.logit_format / T)
+    logp = np.log(p_ok if action.format_ok else 1.0 - p_ok)
+    score.logit_format = (action.format_ok - p_ok) / T
+    if not action.format_ok:
+        logp += np.log(1.0 / 3)
+    z = policy.logits_count / T
+    p_count = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+    logp += np.log(p_count[action.count])
+    score.logits_count = -p_count / T
+    score.logits_count[action.count] += 1.0 / T
+    attr_logp, p_sum, _ = _sequential_softmax(policy.logits_attr / T,
+                                              action.attrs)
+    logp += attr_logp
+    score.logits_attr = -p_sum / T
+    score.logits_attr[list(action.attrs)] += 1.0 / T
+    for idx, bit in zip(action.attrs, action.polarities):
+        p_pro = _sigmoid(policy.logits_polarity[idx] / T)
         logp += np.log(p_pro if bit else 1.0 - p_pro)
         score.logits_polarity[idx] += (bit - p_pro) / T
-        polarities.append(bit)
-    p_true = sigmoid(policy.logits_answer[query_index] / T)
-    answer = bool(rng.random() < p_true)
-    logp += np.log(p_true if answer else 1.0 - p_true)
-    score.logits_answer[query_index] = ((1.0 if answer else 0.0) - p_true) / T
-    action = Action(format_ok, omit, count, tuple(attrs), tuple(polarities),
-                    answer)
-    return action, float(logp), score
+    p_true = _sigmoid(policy.logits_answer[query_index] / T)
+    logp += np.log(p_true if action.answer else 1.0 - p_true)
+    score.logits_answer[query_index] = (action.answer - p_true) / T
+    return float(logp), score
+
+
+_SCORE_FIELDS = ("logit_format", "logits_count", "logits_attr",
+                 "logits_polarity", "logits_answer")
 
 
 def _score_bytes(score):
-    return (np.float64(score.logit_format).tobytes(),
-            *(getattr(score, name).tobytes() for name in
-              ("logits_count", "logits_attr", "logits_polarity",
-               "logits_answer")))
+    return tuple(np.asarray(getattr(score, name), dtype=float).tobytes()
+                 for name in _SCORE_FIELDS)
 
 
-def _reference_row(z):
-    """``(cdf, p, log p)`` of the logits ``z`` (``-inf`` where masked) as
-    numpy builds them: a softmax, its cumulative sum scaled by the last
-    entry, and the log of every entry."""
-    e = np.exp(z - z.max())
-    p = e / e.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    if cdf[-1] != 1.0:
-        raise ValueError("bad probabilities")
-    with np.errstate(divide="ignore"):  # the masked zeros
-        return cdf, p, np.log(p)
+def _assert_score_close(got, want):
+    for name in _SCORE_FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                   rel=1e-12)
 
 
-def _attr_table(logits):
-    """A table whose attribute logits at ``T = 1`` are ``logits``."""
-    policy = PolicyParams.zeros(n_attrs=len(logits), max_count=0)
-    policy.logits_attr[:] = logits
-    return _Table(policy, 1.0)
-
-
-def _bits(mask):
-    return sum(1 << i for i, bit in enumerate(mask) if bit)
-
-
-_TIED = np.array([0.0, -0.0, 1.5, -1.5, 30.0, -math.inf])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=300),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-    tied=st.floats(min_value=0.0, max_value=1.0),
-    masked=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_attr_rows_are_bit_identical_to_numpy_softmax(n, seed, tied, masked):
-    # a share ``tied`` of the logits comes from a few values that include
-    # -inf, and a share ``masked`` of the attributes is already drawn
-    rng = np.random.default_rng(seed)
-    z = rng.normal(scale=10.0, size=n)
-    ties = rng.random(n) < tied
-    z[ties] = rng.choice(_TIED, size=ties.sum())
-    mask = rng.random(n) < masked
-    assume(not mask.all())
-    # log of the masked zeros, and -inf - -inf when every live logit is -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            want = _reference_row(np.where(mask, -np.inf, z))
-        except ValueError:  # every live logit is -inf
-            want = None
-        try:
-            got = _attr_table(z).attr(_bits(mask))
-        except ValueError:
-            got = None
-        if want is None or got is None:
-            assert want is None and got is None
-            return
-        cdf, p = got
-        logs = [float(np.log(v)) for v in p]  # the walk's log of its draw
-    assert np.array(cdf).tobytes() == want[0].tobytes()
-    assert np.array(p).tobytes() == want[1].tobytes()
-    assert np.array(logs).tobytes() == want[2].tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=700),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_pairwise_sum_is_numpy_add_reduce(n, seed):
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 21, size=n)
-    got = _pairwise_sum(values.tolist())
-    assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    logits=st.lists(st.floats(min_value=-30.0, max_value=30.0),
-                    min_size=1, max_size=14),
-    masked=st.lists(st.booleans(), min_size=14, max_size=14),
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_inverse_cdf_draw_matches_generator_choice(logits, masked, seed):
-    mask = masked[:len(logits)]
-    assume(not all(mask))
-    cdf, p = _attr_table(logits).attr(_bits(mask))
-    want = _reference_row(np.where(mask, -np.inf, np.array(logits)))[1]
-    assert np.array(p).tobytes() == want.tobytes()
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _sampler(ours)("categorical", cdf) == theirs.choice(len(p), p=want)
-    assert ours.random() == theirs.random()
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sampling_is_bit_identical_to_per_draw_sampler(seed):
-    rng = np.random.default_rng(100 + seed)
+def test_sampled_and_replayed_logp_match_per_draw_softmax():
+    rng = np.random.default_rng(100)
     policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=3)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = np.random.default_rng(0)
+    counts = set()
     for i in range(60):
         qid, T = i % 3, (0.6, 1.3)[i % 2]
-        out = sample_response(policy, _prompt(), ours, qid, T)
-        action, logp, score = _reference_sample(policy, theirs, qid, T)
-        assert out.action == action
-        assert np.float64(out.logp).tobytes() == np.float64(logp).tobytes()
-        assert _score_bytes(out.score) == _score_bytes(score)
-    assert ours.random() == theirs.random()
+        out = sample_response(policy, _prompt(), draws, qid, T)
+        logp, score = _reference_logp(policy, out.action, qid, T)
+        assert out.logp == pytest.approx(logp, rel=1e-12)
+        _assert_score_close(out.score, score)
+        again, again_score = action_logp(policy, out.action, qid, T)
+        assert again == pytest.approx(logp, rel=1e-12)
+        _assert_score_close(again_score, score)
+        counts.add(out.action.count)
+    assert len(counts) >= 5
+
+
+def test_ordered_draws_follow_plackett_luce_probabilities():
+    # every ordered draw of at most 2 of 4 attributes: 1 + 4 + 12 outcomes
+    policy = PolicyParams.zeros(n_attrs=4, max_count=2)
+    policy.logits_count[:] = [0.3, -0.2, 0.5]
+    policy.logits_attr[:] = [0.8, 0.2, -0.3, -0.9]
+    table = _Table(policy, 0.6)
+    n = 40_000
+    draw = _sampler(np.random.default_rng(31))
+    seen = Counter(_walk(table, table, 0, draw)[0].attrs for _ in range(n))
+    outcomes = [attrs for count in range(3)
+                for attrs in itertools.permutations(range(4), count)]
+    assert set(seen) <= set(outcomes)
+    expected = n * np.exp([table.count_logp[len(attrs)]
+                           + _plackett_luce(table.attr_z, attrs)[0]
+                           for attrs in outcomes])
+    assert expected.sum() == pytest.approx(n)
+    observed = np.array([seen[attrs] for attrs in outcomes])
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 39.25, chi2  # P(chi2 > 39.25) = 0.001 at 16 dof
+
+
+@settings(max_examples=300, deadline=None)
+@example(z=[0.0, -800.0, -900.0], shift=0.0, order=[1, 2, 0], k=2)
+@example(z=[0.0, -math.inf], shift=0.0, order=[1, 0], k=1)
+@example(z=[-math.inf, 0.0], shift=0.0, order=[1, 0], k=2)
+@given(
+    z=st.lists(st.floats(min_value=-1000.0, max_value=0.0)
+               | st.just(-math.inf), min_size=1, max_size=14),
+    shift=st.floats(min_value=-100.0, max_value=100.0),
+    order=st.permutations(range(14)),
+    k=st.integers(min_value=0, max_value=14),
+)
+def test_plackett_luce_matches_sequential_softmax(z, shift, order, k):
+    z = np.array(z) + shift
+    attrs = tuple(i for i in order if i < z.size)[:k]
+    want = _sequential_softmax(z, attrs)
+    if want is None:
+        with pytest.raises(ValueError):
+            _plackett_luce(z, attrs)
+        return
+    logp, p_sum = _plackett_luce(z, attrs)
+    want_logp, want_sum, p_min = want
+    if p_min < np.finfo(float).tiny and np.isfinite(z[list(attrs)]).all():
+        assert math.isfinite(logp)  # numpy's draw probability underflows
+    else:
+        assert logp == pytest.approx(want_logp, rel=1e-12)
+    assert p_sum == pytest.approx(want_sum, rel=1e-12)
+
+
+def test_logp_stays_finite_where_the_softmax_underflows():
+    policy = PolicyParams.zeros(n_attrs=3, max_count=2)
+    policy.logits_attr[:] = [0.0, -800.0, -900.0]
+    action = Action(True, None, 2, (1, 2), (0, 1), True)
+    logp, _ = action_logp(policy, action, 0, 1.0)
+    # the two draws, four fair bits and a uniform count over 0..2
+    assert logp == pytest.approx(-1700.0 + 4 * math.log(0.5) - math.log(3),
+                                 rel=1e-12)
 
 
 def test_step_tables_match_action_logp():
@@ -492,7 +474,7 @@ def test_step_tables_match_action_logp():
     T = 0.6
     current, frozen = _Table(policy, T), _Table(reference, T)
     draw = _sampler(np.random.default_rng(22))
-    for i in range(200):  # enough that later walks reuse cached rows
+    for i in range(200):
         qid = i % 2
         action, logp, logp_ref, score = _walk(current, frozen, qid, draw)
         again, again_score = action_logp(policy, action, qid, T)
