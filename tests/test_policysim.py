@@ -390,21 +390,53 @@ def _assert_score_close(got, want):
                                                    rel=1e-12)
 
 
-def test_sampled_and_replayed_logp_match_per_draw_softmax():
-    rng = np.random.default_rng(100)
+def _reference_sample(policy, rng, query_index, T):
+    """Per-draw sampler on the same RNG stream as ``sample_response``: bits
+    by ``rng.random()``, the count by Gumbel-max over a numpy log-softmax,
+    and each attribute as the largest perturbed logit not yet drawn, from
+    one Gumbel vector; returns the action, and its (logp, score) from
+    :func:`_reference_logp`."""
+    format_ok = bool(rng.random() < _sigmoid(policy.logit_format / T))
+    omit = None
+    if not format_ok:
+        omit = ("think", "name", "answer")[int(rng.integers(3))]
+    z = policy.logits_count / T
+    count_logp = z - (z.max() + np.log(np.exp(z - z.max()).sum()))
+    count = int((count_logp + rng.gumbel(size=z.size)).argmax())
+    perturbed = policy.logits_attr / T + rng.gumbel(size=policy.n_attrs)
+    attrs = []
+    for _ in range(count):
+        idx = int(perturbed.argmax())
+        perturbed[idx] = -np.inf
+        attrs.append(idx)
+    polarities = tuple(int(rng.random() < _sigmoid(policy.logits_polarity[i]
+                                                   / T)) for i in attrs)
+    answer = bool(rng.random()
+                  < _sigmoid(policy.logits_answer[query_index] / T))
+    action = Action(format_ok, omit, count, tuple(attrs), polarities, answer)
+    return (action, *_reference_logp(policy, action, query_index, T))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampling_is_bit_identical_to_per_draw_sampler(seed):
+    # the actions and the RNG stream are bit-identical; logp and score are
+    # summed in another order, so they agree to 1e-12 relative
+    rng = np.random.default_rng(100 + seed)
     policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=3)
-    draws = np.random.default_rng(0)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     counts = set()
     for i in range(60):
         qid, T = i % 3, (0.6, 1.3)[i % 2]
-        out = sample_response(policy, _prompt(), draws, qid, T)
-        logp, score = _reference_logp(policy, out.action, qid, T)
+        out = sample_response(policy, _prompt(), ours, qid, T)
+        action, logp, score = _reference_sample(policy, theirs, qid, T)
+        assert out.action == action
         assert out.logp == pytest.approx(logp, rel=1e-12)
         _assert_score_close(out.score, score)
         again, again_score = action_logp(policy, out.action, qid, T)
         assert again == pytest.approx(logp, rel=1e-12)
         _assert_score_close(again_score, score)
         counts.add(out.action.count)
+    assert ours.random() == theirs.random()
     assert len(counts) >= 5
 
 
