@@ -1,4 +1,5 @@
-"""Bundled-data resolution, and reading input text files.
+"""Bundled-data resolution, reading input text files, and the input and
+configuration errors that the command line maps to exit codes.
 
 Data files ship inside the package; setting ``ATTRILENS_DATA_DIR`` points
 every consumer (range tables, fixture corpora, benchmark CSVs) at an
@@ -22,6 +23,26 @@ BUNDLED_RANGE_TABLES = {
     "gpt4o-default": "ranges_gpt4o_default.tsv",
     "r1-default": "ranges_r1_default.tsv",
 }
+
+
+class ConfigError(ValueError):
+    """Invalid configuration: a flag, a config file or a simulator setting."""
+
+
+class MissingColumn(ValueError):
+    """The CSV lacks a column the schema requires."""
+
+
+class EmptyDataset(ValueError):
+    """No usable records."""
+
+
+class DegenerateLabels(ValueError):
+    """An operation needing both classes saw only one."""
+
+
+class BadRecord(ValueError):
+    """A CSV row lacks a field or carries a bad label."""
 
 
 def data_dir() -> Path:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -23,13 +24,11 @@ import tempfile
 import time
 from dataclasses import asdict
 
-import numpy as np
-
-from . import __version__, mlpipe, policysim
-from ._data import data_path, open_text
+from . import __version__
+from ._data import (BadRecord, ConfigError, DegenerateLabels, EmptyDataset,
+                    MissingColumn, data_path, open_text)
 from .descriptors import Unimplemented, compute, registry, resolve_attribute
 from .molgraph import SmilesError, parse_smiles
-from .policysim import ConfigError, TrainConfig
 from .response import CLASSIFICATION, REGRESSION, parse_response
 from .rewards import (
     ParseError,
@@ -54,10 +53,10 @@ _INPUT_ERRORS = (
     InputError,
     SmilesError,
     OSError,
-    mlpipe.MissingColumn,
-    mlpipe.EmptyDataset,
-    mlpipe.DegenerateLabels,
-    mlpipe.BadRecord,
+    MissingColumn,
+    EmptyDataset,
+    DegenerateLabels,
+    BadRecord,
 )
 
 
@@ -188,9 +187,10 @@ def cmd_score(args) -> int:
     # Records that share a SMILES (the G responses of a group) share one
     # Molecule and its descriptor cache. The memo lives for this call only.
     parse = functools.lru_cache(maxsize=64)(parse_smiles)
-    sums = np.zeros(5)
+    sums = [0.0] * 5
+    held = io.StringIO()  # stdout rows wait until every record has scored
     with (_atomic_output(args.out) if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
+          else contextlib.nullcontext(held)) as out:
         for lineno, rec in records:
             try:
                 mol = parse(rec["smiles"])
@@ -203,7 +203,8 @@ def cmd_score(args) -> int:
                 parsed, mol, rec["label"], rec["target"], table,
                 count_bounds=bounds, task=rec["task"],
             )
-            sums += (bd.format, bd.correct, bd.count, bd.rational, bd.total)
+            sums = [s + v for s, v in zip(sums, (
+                bd.format, bd.correct, bd.count, bd.rational, bd.total))]
             row = {
                 "id": rec.get("id", f"line-{lineno}"),
                 "format": bd.format,
@@ -224,7 +225,7 @@ def cmd_score(args) -> int:
                     f"rat={bd.rational:.4f} total={bd.total:.4f}",
                     file=out,
                 )
-        means = sums / len(records)
+        means = [s / len(records) for s in sums]
         summary = {
             "summary": {
                 "n": len(records),
@@ -244,6 +245,7 @@ def cmd_score(args) -> int:
                 f"rat={means[3]:.3f} total={means[4]:.3f}",
                 file=out,
             )
+    sys.stdout.write(held.getvalue())
     if args.out:
         _manifest(
             "score",
@@ -324,6 +326,7 @@ def _read_config_file(path) -> dict:
 
 
 def cmd_train_sim(args) -> int:
+    from . import policysim
     started = time.time()
     kwargs = {}
     if args.config:
@@ -342,7 +345,7 @@ def cmd_train_sim(args) -> int:
     )
     if not os.path.exists(kwargs["dataset"]):
         raise InputError(f"dataset not found: {kwargs['dataset']}")
-    config = TrainConfig(**kwargs)
+    config = policysim.TrainConfig(**kwargs)
     # --out is opened before training, so an unwritable path fails at once
     with _atomic_output(args.out) as fh:
         try:
@@ -364,6 +367,7 @@ def cmd_train_sim(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from . import mlpipe
     started = time.time()
     schema = mlpipe.CsvSchema(args.smiles_col, args.label_col, args.task)
     loaded = mlpipe.load_csv(args.input, schema)
@@ -405,6 +409,7 @@ def _default_features() -> list[str]:
 
 
 def cmd_dtree(args) -> int:
+    from . import mlpipe
     started = time.time()
     schema = mlpipe.CsvSchema(args.smiles_col, args.label_col)
     loaded = mlpipe.load_csv(args.input, schema)

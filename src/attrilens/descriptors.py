@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .molgraph import ATOMIC_MASSES, Molecule
 
@@ -168,8 +169,9 @@ _BOND_SORT = {"s": 0, "d": 1, "t": 2, "a": 3}
 _Tokens = tuple[tuple[str, "str | int"], ...]
 
 
-@dataclass(frozen=True)
-class _AtomEnv:
+class _AtomEnv(NamedTuple):
+    """An atom's environment, the memo key of its table contributions."""
+
     element: str
     aromatic: bool
     total_h: int

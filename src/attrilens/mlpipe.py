@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._data import open_text
+from ._data import (BadRecord, DegenerateLabels, EmptyDataset, MissingColumn,
+                    open_text)
 from .descriptors import DescriptorId, compute, registry, resolve_attribute
 from .molgraph import Molecule, SmilesError, parse_smiles, scaffold_key
 from .response import CLASSIFICATION, REGRESSION, ParsedResponse
@@ -42,22 +43,6 @@ __all__ = [
     "eval_auc",
     "top_attributes",
 ]
-
-
-class MissingColumn(ValueError):
-    """The CSV lacks a column the schema requires."""
-
-
-class EmptyDataset(ValueError):
-    """No usable records."""
-
-
-class DegenerateLabels(ValueError):
-    """An operation needing both classes saw only one."""
-
-
-class BadRecord(ValueError):
-    """A CSV row lacks a field or carries a bad label."""
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grpo
-from ._data import open_text
+from ._data import ConfigError, open_text
 from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
 from .response import (
@@ -64,10 +64,6 @@ _THINK_TEXT = (
     "Computed the implemented attributes for the molecule and compared "
     "each value against the advantageous range for the target property."
 )
-
-
-class ConfigError(ValueError):
-    """Invalid simulator configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +186,10 @@ _BAD_PROBABILITIES = (
 _LOG_OMIT = float(np.log(1.0 / len(_TAG_NAMES)))
 
 
-def _plackett_luce(z: np.ndarray, attrs) -> tuple[float, np.ndarray]:
+def _plackett_luce_logp(z: np.ndarray, attrs):
     """Log-probability of drawing ``attrs`` in order, without replacement,
-    from the categorical with logits ``z``; and the sum over the draws of
-    each draw's masked softmax.
+    from the categorical with logits ``z``; with ``order``, ``a = z[order]``
+    and ``mass``, from which :func:`_plackett_luce` builds the score.
 
     Draw ``t`` picks ``i_t`` from the entries not yet drawn, so the
     log-probability has the Plackett-Luce form
@@ -214,10 +210,18 @@ def _plackett_luce(z: np.ndarray, attrs) -> tuple[float, np.ndarray]:
     if k and mass[0] == -np.inf:
         raise ValueError("no attribute with positive probability is left "
                          "to draw")
+    return float((a[n - k:] - mass).sum()), order, a, mass
+
+
+def _plackett_luce(z: np.ndarray, attrs) -> tuple[float, np.ndarray]:
+    """The log-probability of :func:`_plackett_luce_logp`, and the sum over
+    the draws of each draw's masked softmax."""
+    logp, order, a, mass = _plackett_luce_logp(z, attrs)
+    n, k = z.size, len(attrs)
     live = np.arange(n) <= np.arange(n - k, n)[:, None]
     p_sum = np.empty(n)
     p_sum[order] = np.exp(np.where(live, a - mass[:, None], -np.inf)).sum(0)
-    return float((a[n - k:] - mass).sum()), p_sum
+    return logp, p_sum
 
 
 class _Table:
@@ -311,7 +315,8 @@ def _walk(table: _Table, ref: _Table, query_index: int, pick):
                          f"got {attrs}")
     term, p_sum = _plackett_luce(table.attr_z, attrs)
     logp += term
-    logp_ref += term if ref is table else _plackett_luce(ref.attr_z, attrs)[0]
+    logp_ref += (term if ref is table
+                 else _plackett_luce_logp(ref.attr_z, attrs)[0])
     score.logits_attr = p_sum / -T
     score.logits_attr[list(attrs)] += table.inv_T
 

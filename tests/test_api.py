@@ -42,3 +42,38 @@ def test_traced_functions_exist():
     # the tracer reads the resolver's memo counters
     from attrilens.descriptors import resolve_attribute
     assert callable(resolve_attribute.cache_info)
+
+
+# Every name the package re-exported from its numeric layers before they
+# became lazy modules.
+_LAZY_REEXPORTS = {
+    "grpo": ["OptimConfig", "ResponseRecord", "TrajectoryGroup",
+             "compute_advantages", "dapo_filter", "grpo_gradient",
+             "grpo_objective", "kl_estimate"],
+    "policysim": ["PolicyParams", "TrainConfig", "sample_response", "train"],
+    "mlpipe": ["CsvSchema", "ForestConfig", "auc_score", "eval_auc",
+               "load_csv", "scaffold_split", "train_forest"],
+}
+
+
+@pytest.mark.parametrize("short", sorted(_LAZY_REEXPORTS))
+def test_lazy_reexports_are_the_submodule_objects(short):
+    module = importlib.import_module(f"attrilens.{short}")
+    assert getattr(attrilens, short) is module
+    for name in _LAZY_REEXPORTS[short]:
+        assert getattr(attrilens, name) is getattr(module, name), name
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        attrilens.no_such_name
+    assert not hasattr(attrilens, "export_curves")
+
+
+def test_cli_errors_are_the_layers_errors():
+    from attrilens import _data, mlpipe, policysim
+
+    assert policysim.ConfigError is _data.ConfigError
+    for name in ("MissingColumn", "EmptyDataset", "DegenerateLabels",
+                 "BadRecord"):
+        assert getattr(mlpipe, name) is getattr(_data, name)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import attrilens
 from attrilens import cli
 from attrilens._data import data_path
 from attrilens.cli import main
@@ -134,6 +135,17 @@ def test_score_target_missing_from_table_exit_3_before_any_row(capsys,
         assert code == 3
         assert out == ""
         assert f"{corpus}:2:" in err and "'FOO'" in err
+
+
+def test_score_bad_smiles_prints_no_earlier_row(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, "smiles": "C(C"}) + "\n")
+    for fmt in ("json", "plain"):
+        code, out, err = run(capsys, "score", str(corpus), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert f"{corpus}:2: bad SMILES" in err
 
 
 @pytest.mark.parametrize("label", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
@@ -411,7 +423,7 @@ def test_train_sim_missing_dataset_exit_2(capsys, tmp_path):
 def test_train_sim_unwritable_out_fails_before_training(capsys, tmp_path,
                                                        monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.policysim, "train",
+    monkeypatch.setattr(attrilens.policysim, "train",
                         lambda *a, **k: calls.append(a))
     code, _, _ = run(capsys, "train-sim", "--steps", "1000",
                      "--out", str(tmp_path / "no_such_dir" / "c.csv"))

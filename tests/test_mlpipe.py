@@ -566,6 +566,33 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
+_REWARD_PATH_RUN = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from contextlib import redirect_stdout
+import attrilens, attrilens.cli as cli
+with redirect_stdout(io.StringIO()):
+    codes = [cli.main(["score", sys.argv[2], "--format", "plain"]),
+             cli.main(["descriptors", "CCO"])]
+print(codes, "numpy" in sys.modules)
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["train-sim", "--steps", "1", "--out", sys.argv[3]])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_reward_path_does_not_load_numpy(tmp_path):
+    """``score`` and ``descriptors`` run without numpy; ``train-sim`` in
+    the same interpreter loads it on first use."""
+    src = str(Path(attrilens.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _REWARD_PATH_RUN, src,
+         str(data_path("case_studies.jsonl")), str(tmp_path / "c.csv")],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[0, 0] False", "0 True"]
+
+
 # ---------------------------------------------------------------------------
 # attribute tallies
 # ---------------------------------------------------------------------------
