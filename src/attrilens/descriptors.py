@@ -170,7 +170,7 @@ _Tokens = tuple[tuple[str, "str | int"], ...]
 
 
 class _AtomEnv(NamedTuple):
-    """An atom's environment, the memo key of its table contributions."""
+    """An atom's environment, as the table patterns read it."""
 
     element: str
     aromatic: bool
@@ -183,19 +183,17 @@ class _AtomEnv(NamedTuple):
     neighbors: tuple[tuple[str, bool, str], ...]
 
 
-def _atom_env(mol: Molecule, idx: int) -> _AtomEnv:
-    atom = mol.atoms[idx]
-    neigh = []
-    chars = []
-    for j, bond in mol.neighbors(idx):
+def _neighbor_tuples(mol: Molecule) -> list[list[tuple[str, bool, str]]]:
+    """Each atom's (element, aromatic, bond char) per neighbor, in
+    adjacency order, from one pass over the bonds."""
+    atoms = mol.atoms
+    neighbors: list[list[tuple[str, bool, str]]] = [[] for _ in atoms]
+    for bond in mol.bonds:
         ch = _BOND_CHAR[bond.order]
-        chars.append(ch)
-        other = mol.atoms[j]
-        neigh.append((other.element, other.aromatic, ch))
-    bonds = "".join(sorted(chars, key=_BOND_SORT.__getitem__))
-    return _AtomEnv(atom.element, atom.aromatic, atom.total_h,
-                    atom.formal_charge, bonds, mol.atom_in_3ring(idx),
-                    len(chars), tuple(neigh))
+        a, b = atoms[bond.a], atoms[bond.b]
+        neighbors[bond.a].append((b.element, b.aromatic, ch))
+        neighbors[bond.b].append((a.element, a.aromatic, ch))
+    return neighbors
 
 
 def _neighbor_in_class(neighbors, klass: str, single_only: bool) -> bool:
@@ -344,22 +342,19 @@ _TPSA = "tpsa_fragments.tsv"
 # The 1836 distinct molecules of the bundled CSVs and case studies fill 104
 # entries; the cap bounds the memo for any other input.
 @functools.lru_cache(maxsize=1024)
-def _match_contribution(table: str, env: _AtomEnv) -> float | None:
-    """The value of the first row of ``table`` whose pattern matches ``env``."""
+def _match_contribution(table: str, element: str, aromatic: bool, total_h: int,
+                        charge: int, ring3: bool,
+                        neighbors: tuple[tuple[str, bool, str], ...]) -> float | None:
+    """The value of the first row of ``table`` whose pattern matches the
+    atom; the :class:`_AtomEnv` the patterns read is built only on a miss."""
+    bonds = "".join(sorted((ch for *_, ch in neighbors), key=_BOND_SORT.__getitem__))
+    env = _AtomEnv(element, aromatic, total_h, charge, bonds, ring3,
+                   len(neighbors), neighbors)
     index = _load_param_index(table)
-    for tokens, value in index.get(env.element, index[None]):
+    for tokens, value in index.get(element, index[None]):
         if _pattern_matches(tokens, env):
             return value
     return None
-
-
-@functools.lru_cache(maxsize=None)
-def _h_contribution(parent_element: str, parent_aromatic: bool) -> float:
-    """Crippen contribution of one H; it depends only on its parent atom's
-    element and aromaticity."""
-    env = _AtomEnv("H", False, 0, 0, "s", False, 1,
-                   ((parent_element, parent_aromatic, "s"),))
-    return _match_contribution(_CRIPPEN, env) or 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +388,29 @@ def _heavy_atom_count(mol: Molecule) -> float:
 @_calculator("MolLogP")
 def _mol_logp(mol: Molecule) -> float:
     total = 0.0
-    for atom in mol.atoms:
-        contrib = _match_contribution(_CRIPPEN, _atom_env(mol, atom.index))
+    for atom, neighbors in zip(mol.atoms, _neighbor_tuples(mol)):
+        total_h = atom.total_h
+        contrib = _match_contribution(
+            _CRIPPEN, atom.element, atom.aromatic, total_h, atom.formal_charge,
+            mol.atom_in_3ring(atom.index), tuple(neighbors))
         total += contrib if contrib is not None else 0.0
-        if atom.total_h:
-            total += atom.total_h * _h_contribution(atom.element, atom.aromatic)
+        if total_h:
+            # One H's contribution depends only on its parent atom.
+            total += total_h * (_match_contribution(
+                _CRIPPEN, "H", False, 0, 0, False,
+                ((atom.element, atom.aromatic, "s"),)) or 0.0)
     return total
 
 
 @_calculator("TPSA")
 def _tpsa(mol: Molecule) -> float:
     total = 0.0
-    for atom in mol.atoms:
+    for atom, neighbors in zip(mol.atoms, _neighbor_tuples(mol)):
         if atom.element not in ("N", "O"):
             continue
-        contrib = _match_contribution(_TPSA, _atom_env(mol, atom.index))
+        contrib = _match_contribution(
+            _TPSA, atom.element, atom.aromatic, atom.total_h, atom.formal_charge,
+            mol.atom_in_3ring(atom.index), tuple(neighbors))
         total += contrib if contrib is not None else 0.0
     return total
 
@@ -442,22 +445,23 @@ def _num_h_acceptors(mol: Molecule) -> float:
 def _num_rotatable_bonds(mol: Molecule) -> float:
     """Single non-ring bonds with a heavy continuation on both sides,
     excluding amide C-N bonds (strict convention)."""
+    atoms, bonds, adj = mol.atoms, mol.bonds, mol._adj
 
     def heavy_degree(idx: int) -> int:
-        return sum(1 for j, _ in mol.neighbors(idx) if mol.atoms[j].element != "H")
+        return sum(1 for j, _ in adj[idx] if atoms[j].element != "H")
 
     def is_amide_cn(a_idx: int, n_idx: int) -> bool:
-        if mol.atoms[a_idx].element != "C" or mol.atoms[n_idx].element != "N":
+        if atoms[a_idx].element != "C" or atoms[n_idx].element != "N":
             return False
-        return any(bond.order == "double" and mol.atoms[j].element == "O"
-                   for j, bond in mol.neighbors(a_idx))
+        return any(bonds[bi].order == "double" and atoms[j].element == "O"
+                   for j, bi in adj[a_idx])
 
     count = 0
-    for bi, bond in enumerate(mol.bonds):
+    for bi, bond in enumerate(bonds):
         if bond.order != "single" or mol.bond_in_ring(bi):
             continue
         a, b = bond.a, bond.b
-        if mol.atoms[a].element == "H" or mol.atoms[b].element == "H":
+        if atoms[a].element == "H" or atoms[b].element == "H":
             continue
         if heavy_degree(a) < 2 or heavy_degree(b) < 2:
             continue
@@ -489,7 +493,7 @@ def _fraction_csp3(mol: Molecule) -> float:
         carbons += 1
         if atom.aromatic:
             continue
-        if all(bond.order == "single" for _, bond in mol.neighbors(atom.index)):
+        if all(mol.bonds[bi].order == "single" for _, bi in mol._adj[atom.index]):
             sp3 += 1
     return sp3 / carbons if carbons else 0.0
 

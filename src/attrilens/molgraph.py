@@ -2,10 +2,12 @@
 
 The parser covers the organic subset, bracket atoms (isotope, chirality,
 explicit hydrogens, charge, atom class), ring-closure labels including the
-``%nn`` form, branches, and dot-separated components.  A ring closure may
-not duplicate an existing bond (``C1C1`` is rejected).  Stereo markers are
-accepted and recorded but play no further role: every downstream consumer
-(descriptors, scaffolds) is stereochemistry-blind.
+``%nn`` form, branches, and dot-separated components.  Every number in
+SMILES (ring labels, isotopes, hydrogen counts, charges, chirality and atom
+classes) is written in ASCII digits; any other digit character is rejected.
+A ring closure may not duplicate an existing bond (``C1C1`` is rejected).
+Stereo markers are accepted and recorded but play no further role: every
+downstream consumer (descriptors, scaffolds) is stereochemistry-blind.
 
 Aromaticity is taken at face value for lowercase input.  Kekule input is
 aromatized by a deliberately simple Hueckel-style pass: a ring becomes
@@ -25,6 +27,7 @@ standing in for the delocalized pi bond.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -224,6 +227,23 @@ class Molecule:
 # ---------------------------------------------------------------------------
 
 
+# One SMILES token per match; the group that matched names its kind:
+# 1 bare aliphatic atom, 2 bare aromatic atom, 3 bracket-atom body,
+# 4 ring digit, 5 ``%nn`` label, 6 bond symbol, 7-9 ``(``, ``)``, ``.``,
+# 10 any other character (an error).  ``[0-9]``, not ``\d``: only ASCII
+# digits are SMILES digits.
+_TOKEN = re.compile(r"(Cl|Br|[BCNOPSFI])|([bcnops])|\[([^\]]*)\]|([0-9])"
+                    r"|%([0-9][0-9])|([-=#:/\\])|(\()|(\))|(\.)|(.)", re.S)
+
+
+def _add_bond(bonds: list[Bond], adj: list[list[tuple[int, int]]], a: int,
+              b: int, order: str, stereo: str | None) -> None:
+    """Append a bond and its two adjacency entries."""
+    adj[a].append((b, len(bonds)))
+    adj[b].append((a, len(bonds)))
+    bonds.append(Bond(a, b, order, stereo))
+
+
 def parse_smiles(text: str) -> Molecule:
     """Parse SMILES into a finished Molecule.
 
@@ -238,6 +258,7 @@ def parse_smiles(text: str) -> Molecule:
 
     atoms: list[Atom] = []
     bonds: list[Bond] = []
+    adj: list[list[tuple[int, int]]] = []
     prev: int | None = None
     pending_order: str | None = None
     pending_stereo: str | None = None
@@ -245,107 +266,83 @@ def parse_smiles(text: str) -> Molecule:
     # ring label -> (atom index, bond order or None, stereo)
     open_rings: dict[str, tuple[int, str | None, str | None]] = {}
 
-    def add_atom(atom: Atom) -> None:
-        nonlocal prev, pending_order, pending_stereo
-        atom.index = len(atoms)
-        atoms.append(atom)
-        if prev is not None:
-            order = pending_order
-            if order is None:
-                order = "aromatic" if (atoms[prev].aromatic and atom.aromatic) else "single"
-            bonds.append(Bond(prev, atom.index, order, pending_stereo))
-        prev = atom.index
-        pending_order = None
-        pending_stereo = None
-
-    def close_ring(label: str) -> None:
-        nonlocal pending_order, pending_stereo
-        if prev is None:
-            raise UnbalancedRing(f"ring label {label!r} before any atom")
-        if label in open_rings:
-            start, order0, stereo0 = open_rings.pop(label)
-            if start == prev:
-                raise UnbalancedRing(f"ring label {label!r} closes onto its own atom")
-            order = pending_order if pending_order is not None else order0
-            if (pending_order is not None and order0 is not None
-                    and pending_order != order0):
-                raise UnbalancedRing(
-                    f"ring label {label!r} opened as {order0} but closed as {pending_order}")
-            if order is None:
-                order = ("aromatic"
-                         if (atoms[start].aromatic and atoms[prev].aromatic)
-                         else "single")
-            bonds.append(Bond(start, prev, order, pending_stereo or stereo0))
-        else:
-            open_rings[label] = (prev, pending_order, pending_stereo)
-        pending_order = None
-        pending_stereo = None
-
-    i, n = 0, len(smiles)
-    while i < n:
-        ch = smiles[i]
-        if ch in " \t":
-            raise SmilesError(f"whitespace inside SMILES at position {i}")
-        if ch == "(":
+    # Not finditer: on CPython 3.11 every finditer call leaves a new
+    # attribute-name string in the type attribute cache, and those strings,
+    # allocated among the molecules' objects, keep the memory of freed
+    # molecules from being returned to the system.
+    pos, n = 0, len(smiles)
+    while pos < n:
+        match = _TOKEN.match(smiles, pos)
+        pos = match.end()
+        kind = match.lastindex
+        token = match[kind]
+        if kind <= 3:
+            if kind == 1:
+                atom = Atom(token)
+            elif kind == 2:
+                atom = Atom(token.upper(), aromatic=True)
+            else:
+                atom = _parse_bracket(token, match.start())
+            atom.index = len(atoms)
+            atoms.append(atom)
+            adj.append([])
+            if prev is not None:
+                order = pending_order or (
+                    "aromatic" if atoms[prev].aromatic and atom.aromatic
+                    else "single")
+                _add_bond(bonds, adj, prev, atom.index, order, pending_stereo)
+            prev = atom.index
+            pending_order = pending_stereo = None
+        elif kind <= 5:  # ring label
+            if prev is None:
+                raise UnbalancedRing(f"ring label {token!r} before any atom")
+            if token in open_rings:
+                start, order0, stereo0 = open_rings.pop(token)
+                if start == prev:
+                    raise UnbalancedRing(
+                        f"ring label {token!r} closes onto its own atom")
+                if (pending_order is not None and order0 is not None
+                        and pending_order != order0):
+                    raise UnbalancedRing(f"ring label {token!r} opened as "
+                                         f"{order0} but closed as {pending_order}")
+                order = pending_order or order0 or (
+                    "aromatic" if atoms[start].aromatic and atoms[prev].aromatic
+                    else "single")
+                _add_bond(bonds, adj, start, prev, order,
+                          pending_stereo or stereo0)
+            else:
+                open_rings[token] = (prev, pending_order, pending_stereo)
+            pending_order = pending_stereo = None
+        elif kind == 6:
+            if pending_order is not None:
+                raise SmilesError(
+                    f"two bond symbols in a row at position {match.start()}")
+            pending_order = _BOND_CHAR_ORDER[token]
+            if token in "/\\":
+                pending_stereo = token
+        elif kind == 7:
             if prev is None:
                 raise UnbalancedBranch("branch opened before any atom")
             branch_stack.append(prev)
-            i += 1
-            continue
-        if ch == ")":
+        elif kind == 8:
             if not branch_stack:
                 raise UnbalancedBranch("unmatched ')'")
             if pending_order is not None:
                 raise SmilesError("dangling bond before ')'")
             prev = branch_stack.pop()
-            i += 1
-            continue
-        if ch == ".":
+        elif kind == 9:
             if pending_order is not None or branch_stack:
                 raise SmilesError("dot separator inside branch or after bond")
             prev = None
-            i += 1
-            continue
-        if ch in _BOND_CHAR_ORDER:
-            if pending_order is not None:
-                raise SmilesError(f"two bond symbols in a row at position {i}")
-            pending_order = _BOND_CHAR_ORDER[ch]
-            if ch in "/\\":
-                pending_stereo = ch
-            i += 1
-            continue
-        if ch.isdigit():
-            close_ring(ch)
-            i += 1
-            continue
-        if ch == "%":
-            if i + 2 >= n or not smiles[i + 1 : i + 3].isdigit():
-                raise UnbalancedRing(f"bad %nn ring label at position {i}")
-            close_ring(smiles[i + 1 : i + 3])
-            i += 3
-            continue
-        if ch == "[":
-            j = smiles.find("]", i)
-            if j < 0:
-                raise SmilesError("unterminated bracket atom")
-            add_atom(_parse_bracket(smiles[i + 1 : j], i))
-            i = j + 1
-            continue
-        # Bare atom: two-letter symbols first.
-        two = smiles[i : i + 2]
-        if two in ("Cl", "Br"):
-            add_atom(Atom(two))
-            i += 2
-            continue
-        if ch in "BCNOPSFI":
-            add_atom(Atom(ch))
-            i += 1
-            continue
-        if ch in "bcnops":
-            add_atom(Atom(ch.upper(), aromatic=True))
-            i += 1
-            continue
-        raise UnknownElement(f"unexpected character {ch!r} at position {i}")
+        elif token in " \t":
+            raise SmilesError(f"whitespace inside SMILES at position {match.start()}")
+        elif token == "[":
+            raise SmilesError("unterminated bracket atom")
+        elif token == "%":
+            raise UnbalancedRing(f"bad %nn ring label at position {match.start()}")
+        else:
+            raise UnknownElement(
+                f"unexpected character {token!r} at position {match.start()}")
 
     if branch_stack:
         raise UnbalancedBranch(f"{len(branch_stack)} unclosed '('")
@@ -357,21 +354,28 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError("no atoms parsed")
 
     mol = Molecule(atoms, bonds, source=text)
+    mol._adj = adj
     _finalize(mol)
     return mol
+
+
+_DIGITS = re.compile("[0-9]*")
+
+
+def _bracket_int(digits: str, body: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise SmilesError(f"number too long in bracket atom {body!r}") from None
 
 
 def _parse_bracket(body: str, pos: int) -> Atom:
     """Parse the interior of a bracket atom expression."""
     if not body:
         raise SmilesError(f"empty bracket atom at position {pos}")
-    k, m = 0, len(body)
-    isotope = None
-    if body[k].isdigit():
-        start = k
-        while k < m and body[k].isdigit():
-            k += 1
-        isotope = int(body[start:k])
+    m = len(body)
+    k = _DIGITS.match(body).end()
+    isotope = _bracket_int(body[:k], body) if k else None
     if k >= m:
         raise SmilesError(f"bracket atom lacks an element symbol at position {pos}")
     aromatic = False
@@ -408,31 +412,25 @@ def _parse_bracket(body: str, pos: int) -> Atom:
         # Named chirality classes (@TH1, @AL2, ...): a two-letter code plus
         # digits. Checking for the trailing digit keeps hydrogen counts
         # ([C@H]) out of this branch.
-        if (body[k : k + 2] in ("TH", "AL", "SP", "TB", "OH")
-                and k + 2 < m and body[k + 2].isdigit()):
-            k += 2
-            while k < m and body[k].isdigit():
-                k += 1
+        if body[k : k + 2] in ("TH", "AL", "SP", "TB", "OH"):
+            end = _DIGITS.match(body, k + 2).end()
+            if end > k + 2:
+                k = end
 
     explicit_h = 0
     if k < m and body[k] == "H":
-        k += 1
-        count = ""
-        while k < m and body[k].isdigit():
-            count += body[k]
-            k += 1
-        explicit_h = int(count) if count else 1
+        end = _DIGITS.match(body, k + 1).end()
+        explicit_h = _bracket_int(body[k + 1 : end], body) if end > k + 1 else 1
+        k = end
 
     charge = 0
     if k < m and body[k] in "+-":
         sign = 1 if body[k] == "+" else -1
         k += 1
-        if k < m and body[k].isdigit():
-            num = ""
-            while k < m and body[k].isdigit():
-                num += body[k]
-                k += 1
-            charge = sign * int(num)
+        end = _DIGITS.match(body, k).end()
+        if end > k:
+            charge = sign * _bracket_int(body[k:end], body)
+            k = end
         else:
             charge = sign
             while k < m and body[k] == body[k - 1]:
@@ -440,8 +438,8 @@ def _parse_bracket(body: str, pos: int) -> Atom:
                 k += 1
 
     if k < m and body[k] == ":":
-        k += 1
-        if k >= m or not body[k:].isdigit():
+        end = _DIGITS.match(body, k + 1).end()
+        if end == k + 1 or end != m:
             raise SmilesError(f"bad atom class in bracket atom {body!r}")
         k = m  # atom class parsed and ignored
 
@@ -462,21 +460,12 @@ def _finalize(mol: Molecule) -> None:
     """Derive everything beyond raw atoms/bonds.
 
     Bracket atoms keep their declared hydrogen counts; implicit hydrogens
-    of bare atoms are always rederived.
+    of bare atoms are always rederived.  ``mol._adj`` is already built.
     """
-    _build_adjacency(mol)
     _perceive_rings(mol, *_spanning_forest(mol))
     _demote_nonring_aromatics(mol)
     _assign_implicit_h(mol)
     _aromatize_kekule(mol)
-
-
-def _build_adjacency(mol: Molecule) -> None:
-    adj: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
-    for bi, bond in enumerate(mol.bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-    mol._adj = adj
 
 
 def _spanning_forest(mol: Molecule) -> tuple[dict[int, tuple[int, int]], list[int]]:
@@ -520,6 +509,9 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
     greedy pass over the candidates in (size, atoms) order keeps those
     linearly independent over GF(2) in bond space until the cyclomatic
     number is met.  Each kept ring's bonds go to ``mol.ring_bond_ids``.
+    Without a fused bond the candidates are the fundamental cycles, which
+    are independent and as many as the cyclomatic number: all are kept,
+    and the GF(2) pass is skipped.
 
     A fundamental cycle that shares no bond with another one is isolated,
     and its bonds need no search.  Every cycle is the GF(2) sum of the
@@ -538,8 +530,9 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
     if n_rings <= 0:
         return
 
-    # (size, atoms, bond mask, bonds)
-    candidates: list[tuple[int, tuple[int, ...], int, list[int]]] = []
+    # (size, atoms, bonds); the atoms are distinct, so sorting never
+    # compares the bonds
+    candidates: list[tuple[int, tuple[int, ...], list[int]]] = []
     seen: set[tuple[int, ...]] = set()
 
     def record(path: list[int], bonds: list[int]) -> bool:
@@ -552,7 +545,7 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
         if atoms in seen:
             return False
         seen.add(atoms)
-        candidates.append((len(path), atoms, sum(1 << bi for bi in bonds), bonds))
+        candidates.append((len(path), atoms, bonds))
         return True
 
     tree_bonds = {bi for _, bi in parent.values()}
@@ -588,23 +581,25 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
             bond = mol.bonds[bi]
             record(*_shortest_path_avoiding(ring_adj, bond.a, bond.b, bi))
 
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    candidates.sort()
     basis: list[int] = []
-    for _, ring_atoms, mask, bonds in candidates:
-        reduced = mask
-        for b in basis:
-            reduced = min(reduced, reduced ^ b)
-        if reduced:
+    for _, ring_atoms, bonds in candidates:
+        if fused:
+            reduced = sum(1 << bi for bi in bonds)
+            for b in basis:
+                reduced = min(reduced, reduced ^ b)
+            if not reduced:
+                continue
             basis.append(reduced)
             basis.sort(reverse=True)
-            mol.rings.append(ring_atoms)
-            mol.ring_bond_ids.append(tuple(sorted(bonds)))
-            mol._ring_bonds.update(bonds)
-            mol._ring_atoms.update(ring_atoms)
-            if len(ring_atoms) == 3:
-                mol._ring3_atoms.update(ring_atoms)
-            if len(mol.rings) == n_rings:
-                break
+        mol.rings.append(ring_atoms)
+        mol.ring_bond_ids.append(tuple(sorted(bonds)))
+        mol._ring_bonds.update(bonds)
+        mol._ring_atoms.update(ring_atoms)
+        if len(ring_atoms) == 3:
+            mol._ring3_atoms.update(ring_atoms)
+        if len(mol.rings) == n_rings:
+            break
 
 
 def _shortest_path_avoiding(adj: list[list[tuple[int, int]]], src: int,
@@ -661,16 +656,23 @@ def _order_sums(mol: Molecule) -> list[float]:
     return sums
 
 
+# Hydrogens of a bare atom by (element, valence used by its bonds): the
+# smallest default valence that fits wins; past the largest, none fits.
+_IMPLICIT_H = {(element, used): min(v for v in valences if v >= used) - used
+               for element, valences in DEFAULT_VALENCES.items()
+               for used in range(max(valences) + 1)}
+_MAX_VALENCE = {element: max(valences)
+                for element, valences in DEFAULT_VALENCES.items()}
+
+
 def _default_h(atom: Atom, degree: int, order_sum: float) -> int:
     """Hydrogens a bare organic-subset atom gets from its current bonds.
 
-    The smallest default valence that fits wins. An aromatic atom uses
-    degree + 1, the extra unit standing in for the delocalized pi bond;
-    otherwise aromatic bond halves round up.
+    An aromatic atom uses degree + 1, the extra unit standing in for the
+    delocalized pi bond; otherwise aromatic bond halves round up.
     """
     used = degree + 1 if atom.aromatic else int(order_sum + 0.999999)
-    valences = DEFAULT_VALENCES.get(atom.element, ())
-    return min((v - used for v in valences if v >= used), default=0)
+    return _IMPLICIT_H.get((atom.element, used), 0)
 
 
 def _assign_implicit_h(mol: Molecule) -> None:
@@ -679,15 +681,13 @@ def _assign_implicit_h(mol: Molecule) -> None:
     Bracket atoms declare their own hydrogen count; no charge accounting
     is attempted for them.  The first over-valent atom raises.
     """
-    for atom, order_sum in zip(mol.atoms, _order_sums(mol)):
+    for atom, order_sum, nbrs in zip(mol.atoms, _order_sums(mol), mol._adj):
         if atom.bracket:
             atom.implicit_h = 0
             continue
-        degree = len(mol._adj[atom.index])
+        degree = len(nbrs)
         atom.implicit_h = _default_h(atom, degree, order_sum)
-        if atom.element not in DEFAULT_VALENCES:
-            continue
-        max_val = max(DEFAULT_VALENCES[atom.element])
+        max_val = _MAX_VALENCE[atom.element]  # bare atoms are organic-subset
         if atom.aromatic:
             if degree > max_val:
                 raise ValenceError(f"aromatic {atom.element} with {degree} "
@@ -776,12 +776,14 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
         a = mol.atoms[old]
         atoms.append(Atom(a.element, a.formal_charge, a.aromatic, a.explicit_h,
                           a.isotope, index_map[old], a.bracket, a.chirality))
-    bonds = []
+    bonds: list[Bond] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in keep]
     for bond in mol.bonds:
         if bond.a in index_map and bond.b in index_map:
-            bonds.append(Bond(index_map[bond.a], index_map[bond.b], bond.order,
-                              bond.stereo))
+            _add_bond(bonds, adj, index_map[bond.a], index_map[bond.b],
+                      bond.order, bond.stereo)
     sub = Molecule(atoms, bonds, source=mol.source)
+    sub._adj = adj
     _finalize(sub)
     return sub
 

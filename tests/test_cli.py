@@ -338,6 +338,44 @@ def test_descriptors_bad_smiles_exit_2(capsys):
     assert code == 2
 
 
+# str.isdigit holds for these characters; SMILES digits are ASCII only.
+_NON_ASCII_DIGIT_SMILES = ["[²C]", "[CH²]", "[C+²]", "C²CC²", "C١CC١",
+                           "C%²²CC%²²"]
+
+
+@pytest.mark.parametrize("smiles", _NON_ASCII_DIGIT_SMILES)
+def test_descriptors_non_ascii_digit_exit_2(capsys, smiles):
+    code, out, err = run(capsys, "descriptors", smiles)
+    assert code == 2
+    assert out == ""
+    assert f"bad SMILES {smiles!r}" in err
+
+
+@pytest.mark.parametrize("smiles", _NON_ASCII_DIGIT_SMILES)
+def test_score_non_ascii_digit_names_line(capsys, tmp_path, smiles):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(_GOOD_RECORD) + "\n"
+                      + json.dumps({**_GOOD_RECORD, "smiles": smiles}) + "\n")
+    code, out, err = run(capsys, "score", str(corpus))
+    assert code == 2
+    assert out == ""
+    assert f"{corpus}:2: bad SMILES" in err
+
+
+def test_split_skips_and_counts_non_ascii_digit_rows(capsys, tmp_path):
+    rows = [f"{smiles},{k % 2}" for k, smiles in enumerate(
+        ["c1ccccc1CCO", "C1CCCCC1N", "c1ccncc1C", "C1CCC1CO", "CCO",
+         "c1ccsc1CC"] + _NON_ASCII_DIGIT_SMILES)]
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,label\n" + "\n".join(rows) + "\n")
+    code, out, _ = run(capsys, "split", str(data), "--outdir", str(tmp_path),
+                       "--format", "json")
+    assert code == 0
+    result = json.loads(out)
+    assert result["skipped"] == len(_NON_ASCII_DIGIT_SMILES)
+    assert sum(result["sizes"]) == 6
+
+
 def test_descriptors_duplicate_ring_bond_exit_2(capsys):
     code, out, err = run(capsys, "descriptors", "C1C1")
     assert code == 2

@@ -210,6 +210,26 @@ def _bundled_molecules():
             continue
 
 
+def _reference_atom_env(mol, idx):
+    """Reference: an atom's environment from its ``neighbors()`` list."""
+    atom = mol.atoms[idx]
+    neigh, chars = [], []
+    for j, bond in mol.neighbors(idx):
+        ch = descriptors._BOND_CHAR[bond.order]
+        chars.append(ch)
+        neigh.append((mol.atoms[j].element, mol.atoms[j].aromatic, ch))
+    bonds = "".join(sorted(chars, key=descriptors._BOND_SORT.__getitem__))
+    return descriptors._AtomEnv(atom.element, atom.aromatic, atom.total_h,
+                                atom.formal_charge, bonds,
+                                mol.atom_in_3ring(idx), len(chars), tuple(neigh))
+
+
+def _memo_key(env):
+    """The contribution memo's arguments after the table, for ``env``."""
+    return (env.element, env.aromatic, env.total_h, env.charge, env.ring3,
+            env.neighbors)
+
+
 def test_indexed_tables_match_linear_scan():
     tables = [(descriptors._CRIPPEN,
                descriptors._read_param_rows(descriptors._CRIPPEN)),
@@ -219,18 +239,104 @@ def test_indexed_tables_match_linear_scan():
     seen = 0
     for mol in _bundled_molecules():
         for atom in mol.atoms:
-            env = descriptors._atom_env(mol, atom.index)
+            env = _reference_atom_env(mol, atom.index)
             for table, rows in tables:
                 expected = _linear_contribution(rows, env)
-                assert memo.__wrapped__(table, env) == expected
-                assert memo(table, env) == expected
+                assert memo.__wrapped__(table, *_memo_key(env)) == expected
+                assert memo(table, *_memo_key(env)) == expected
             h_env = descriptors._AtomEnv(
                 "H", False, 0, 0, "s", False, 1,
                 ((atom.element, atom.aromatic, "s"),))
-            assert descriptors._h_contribution(atom.element, atom.aromatic) \
-                == (_linear_contribution(tables[0][1], h_env) or 0.0)
+            assert memo(descriptors._CRIPPEN, *_memo_key(h_env)) \
+                == _linear_contribution(tables[0][1], h_env)
             seen += 1
     assert seen > 10_000
+
+
+def _reference_mol_logp(mol):
+    """Reference: each atom's contribution from its environment."""
+    memo = descriptors._match_contribution
+    total = 0.0
+    for atom in mol.atoms:
+        contrib = memo(descriptors._CRIPPEN,
+                       *_memo_key(_reference_atom_env(mol, atom.index)))
+        total += contrib if contrib is not None else 0.0
+        if atom.total_h:
+            total += atom.total_h * (memo(
+                descriptors._CRIPPEN, "H", False, 0, 0, False,
+                ((atom.element, atom.aromatic, "s"),)) or 0.0)
+    return total
+
+
+def _reference_tpsa(mol):
+    total = 0.0
+    for atom in mol.atoms:
+        if atom.element in ("N", "O"):
+            contrib = descriptors._match_contribution(
+                descriptors._TPSA, *_memo_key(_reference_atom_env(mol, atom.index)))
+            total += contrib if contrib is not None else 0.0
+    return total
+
+
+def _reference_num_rotatable_bonds(mol):
+    """Reference: neighbours read through ``Molecule.neighbors`` lists."""
+
+    def heavy_degree(idx):
+        return sum(1 for j, _ in mol.neighbors(idx) if mol.atoms[j].element != "H")
+
+    def is_amide_cn(a_idx, n_idx):
+        if mol.atoms[a_idx].element != "C" or mol.atoms[n_idx].element != "N":
+            return False
+        return any(bond.order == "double" and mol.atoms[j].element == "O"
+                   for j, bond in mol.neighbors(a_idx))
+
+    count = 0
+    for bi, bond in enumerate(mol.bonds):
+        if bond.order != "single" or mol.bond_in_ring(bi):
+            continue
+        a, b = bond.a, bond.b
+        if mol.atoms[a].element == "H" or mol.atoms[b].element == "H":
+            continue
+        if heavy_degree(a) < 2 or heavy_degree(b) < 2:
+            continue
+        if is_amide_cn(a, b) or is_amide_cn(b, a):
+            continue
+        count += 1
+    return float(count)
+
+
+def _reference_fraction_csp3(mol):
+    carbons = [a for a in mol.atoms if a.element == "C"]
+    sp3 = sum(1 for a in carbons if not a.aromatic and all(
+        bond.order == "single" for _, bond in mol.neighbors(a.index)))
+    return sp3 / len(carbons) if carbons else 0.0
+
+
+def test_descriptors_match_neighbor_list_references():
+    references = {"MolLogP": _reference_mol_logp, "TPSA": _reference_tpsa,
+                  "NumRotatableBonds": _reference_num_rotatable_bonds,
+                  "FractionCSP3": _reference_fraction_csp3}
+    for mol in _bundled_molecules():
+        for name, reference in references.items():
+            assert (compute(mol, name).value.hex()
+                    == float(reference(mol)).hex()), (mol.source, name)
+
+
+def test_warm_contribution_memo_builds_no_atom_env(monkeypatch):
+    built = []
+    env_type = descriptors._AtomEnv
+    monkeypatch.setattr(descriptors, "_AtomEnv",
+                        lambda *fields: built.append(fields) or env_type(*fields))
+    texts = [mol.source for mol in _bundled_molecules()][::50]
+    for text in texts:
+        for name in ("MolLogP", "TPSA"):
+            compute(parse_smiles(text), name)        # warms the memo
+            built.clear()
+            compute(parse_smiles(text), name)
+            assert built == [], (text, name)
+    descriptors._match_contribution.cache_clear()
+    compute(parse_smiles("CCO"), "MolLogP")
+    assert len(built) == 5  # three heavy atoms, two kinds of hydrogen
 
 
 def test_contribution_memo_is_bounded_and_changes_no_value():

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrilens import descriptors, molgraph
@@ -139,9 +142,295 @@ def test_errors_are_smiles_errors():
         assert issubclass(exc, SmilesError)
 
 
+# Characters for which ``str.isdigit`` holds but which are not ASCII digits.
+_NON_ASCII_DIGITS = "²³¹١٣۵०১๓①"
+
+
+@pytest.mark.parametrize("text", [
+    "[²C]", "[CH²]", "[C+²]", "[C-²]", "[C@TH²]", "[CH4:²]", "[13CH²]",
+    "C²CC²", "C١CC١", "C%²²CC%²²", "C%1²CC%1²", "c1cc²ccc1²",
+])
+def test_smiles_digits_are_ascii_only(text):
+    with pytest.raises(SmilesError):
+        parse_smiles(text)
+
+
+def test_ascii_digits_in_every_position_still_parse():
+    mol = parse_smiles("[13CH3:7][C@TH1H]([N+2])C%12CC%12")
+    assert mol.atoms[0].isotope == 13 and mol.atoms[0].explicit_h == 3
+    assert mol.atoms[1].chirality == "@" and mol.atoms[1].explicit_h == 1
+    assert mol.atoms[2].formal_charge == 2
+    assert [len(ring) for ring in mol.rings] == [3]
+
+
+def test_aromatic_bond_between_aliphatic_atoms_is_single():
+    mol = parse_smiles("C:C")
+    assert [(b.a, b.b, b.order) for b in mol.bonds] == [(0, 1, "single")]
+    assert [(a.aromatic, a.total_h) for a in mol.atoms] == [(False, 3)] * 2
+
+
+# Characters the parser gives meaning to, plus a few it rejects.
+_SMILES_ALPHABET = ("BCNOPSFIclrnosp[]()=#-:/\\.%@+H0123456789 *"
+                    + _NON_ASCII_DIGITS[:3])
+_smiles_text = st.text(alphabet=_SMILES_ALPHABET, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(), _smiles_text))
+@example(text="[²C]")
+@example(text="[CH²]")
+@example(text="[C+²]")
+@example(text="[" + "1" * 5000 + "C]")
+@example(text="[CH" + "1" * 5000 + "]")
+def test_parse_smiles_returns_a_molecule_or_raises_smiles_error(text):
+    try:
+        mol = parse_smiles(text)
+    except SmilesError:
+        return
+    assert isinstance(mol, molgraph.Molecule)
+
+
+def _reference_tokenize(text):
+    """Reference: the parser's character loop before the regex scan, atoms
+    and bonds only.  It reads ring labels with ``str.isdigit``."""
+    smiles = text.strip()
+    if not smiles:
+        raise SmilesError("empty SMILES")
+    atoms, bonds = [], []
+    prev = pending_order = pending_stereo = None
+    branch_stack, open_rings = [], {}
+
+    def add_atom(atom):
+        nonlocal prev, pending_order, pending_stereo
+        atom.index = len(atoms)
+        atoms.append(atom)
+        if prev is not None:
+            order = pending_order
+            if order is None:
+                order = ("aromatic" if (atoms[prev].aromatic and atom.aromatic)
+                         else "single")
+            bonds.append(molgraph.Bond(prev, atom.index, order, pending_stereo))
+        prev = atom.index
+        pending_order = None
+        pending_stereo = None
+
+    def close_ring(label):
+        nonlocal pending_order, pending_stereo
+        if prev is None:
+            raise UnbalancedRing(f"ring label {label!r} before any atom")
+        if label in open_rings:
+            start, order0, stereo0 = open_rings.pop(label)
+            if start == prev:
+                raise UnbalancedRing(f"ring label {label!r} closes onto its own atom")
+            order = pending_order if pending_order is not None else order0
+            if (pending_order is not None and order0 is not None
+                    and pending_order != order0):
+                raise UnbalancedRing(f"ring label {label!r} opened as {order0} "
+                                     f"but closed as {pending_order}")
+            if order is None:
+                order = ("aromatic"
+                         if (atoms[start].aromatic and atoms[prev].aromatic)
+                         else "single")
+            bonds.append(molgraph.Bond(start, prev, order,
+                                       pending_stereo or stereo0))
+        else:
+            open_rings[label] = (prev, pending_order, pending_stereo)
+        pending_order = None
+        pending_stereo = None
+
+    i, n = 0, len(smiles)
+    while i < n:
+        ch = smiles[i]
+        if ch in " \t":
+            raise SmilesError(f"whitespace inside SMILES at position {i}")
+        if ch == "(":
+            if prev is None:
+                raise UnbalancedBranch("branch opened before any atom")
+            branch_stack.append(prev)
+            i += 1
+            continue
+        if ch == ")":
+            if not branch_stack:
+                raise UnbalancedBranch("unmatched ')'")
+            if pending_order is not None:
+                raise SmilesError("dangling bond before ')'")
+            prev = branch_stack.pop()
+            i += 1
+            continue
+        if ch == ".":
+            if pending_order is not None or branch_stack:
+                raise SmilesError("dot separator inside branch or after bond")
+            prev = None
+            i += 1
+            continue
+        if ch in molgraph._BOND_CHAR_ORDER:
+            if pending_order is not None:
+                raise SmilesError(f"two bond symbols in a row at position {i}")
+            pending_order = molgraph._BOND_CHAR_ORDER[ch]
+            if ch in "/\\":
+                pending_stereo = ch
+            i += 1
+            continue
+        if ch.isdigit():
+            close_ring(ch)
+            i += 1
+            continue
+        if ch == "%":
+            if i + 2 >= n or not smiles[i + 1 : i + 3].isdigit():
+                raise UnbalancedRing(f"bad %nn ring label at position {i}")
+            close_ring(smiles[i + 1 : i + 3])
+            i += 3
+            continue
+        if ch == "[":
+            j = smiles.find("]", i)
+            if j < 0:
+                raise SmilesError("unterminated bracket atom")
+            add_atom(molgraph._parse_bracket(smiles[i + 1 : j], i))
+            i = j + 1
+            continue
+        two = smiles[i : i + 2]
+        if two in ("Cl", "Br"):
+            add_atom(molgraph.Atom(two))
+            i += 2
+            continue
+        if ch in "BCNOPSFI":
+            add_atom(molgraph.Atom(ch))
+            i += 1
+            continue
+        if ch in "bcnops":
+            add_atom(molgraph.Atom(ch.upper(), aromatic=True))
+            i += 1
+            continue
+        raise UnknownElement(f"unexpected character {ch!r} at position {i}")
+
+    if branch_stack:
+        raise UnbalancedBranch(f"{len(branch_stack)} unclosed '('")
+    if open_rings:
+        raise UnbalancedRing(f"unclosed ring labels: {sorted(open_rings)}")
+    if pending_order is not None:
+        raise SmilesError("dangling bond at end of SMILES")
+    if not atoms:
+        raise SmilesError("no atoms parsed")
+    return atoms, bonds
+
+
+def _reference_adjacency(mol):
+    """Reference: the adjacency rebuilt from the bonds after the fact."""
+    adj = [[] for _ in mol.atoms]
+    for bi, bond in enumerate(mol.bonds):
+        adj[bond.a].append((bond.b, bi))
+        adj[bond.b].append((bond.a, bi))
+    return adj
+
+
+def _reference_parse(text):
+    """Reference: the character loop, the adjacency rebuilt from the bonds,
+    and hydrogens from ``min`` scans over the default valences."""
+    mol = molgraph.Molecule(*_reference_tokenize(text), source=text)
+    mol._adj = _reference_adjacency(mol)
+    molgraph._perceive_rings(mol, *molgraph._spanning_forest(mol))
+    molgraph._demote_nonring_aromatics(mol)
+    _reference_assign_implicit_h(mol)
+    molgraph._aromatize_kekule(mol)
+    return mol
+
+
+def _parse_outcome(parse, text):
+    try:
+        mol = parse(text)
+    except SmilesError as exc:
+        return type(exc), str(exc)
+    return ([(a.element, a.formal_charge, a.aromatic, a.explicit_h, a.isotope,
+              a.index, a.bracket, a.chirality, a.implicit_h) for a in mol.atoms],
+            [(b.a, b.b, b.order, b.stereo) for b in mol.bonds],
+            mol._adj, mol.rings, mol.ring_bond_ids)
+
+
+def _assert_parses_like_reference(text):
+    ours = _parse_outcome(parse_smiles, text)
+    if any(ch.isdigit() and not ch.isascii() for ch in text):
+        # the one declared difference: such a digit is no ring label
+        assert isinstance(ours[0], type), text
+        return
+    assert ours == _parse_outcome(_reference_parse, text), text
+
+
+def test_parser_matches_character_loop_reference():
+    inputs = _bundled_smiles() + list(SMILES_CORPUS)
+    inputs += [write_smiles(parse_smiles(text), rng=np.random.default_rng(seed))
+               for seed, text in enumerate(inputs)]
+    inputs += ["C:C", "c1ccccc1:C", "C1:C:C1", "C%01CC%01", "C1CC1%10CC%10",
+               "[13CH3:7][C@TH1H]([N+2])C", "[O-][N++]([O--])=O", "C=1CC1",
+               "C1CC=1", "C/1CC1", "[]", "[C", "C%1", "C%", "C 1", "C\tC",
+               "C]", "CC(=)C", "C(C)(", "C=.C", "(C)", ".C", "C.", "c1cc1c",
+               "[Xx]", "[cl]", "[2]", "[C:]", "[C:1a]", "[C@@TH]", "[CH-+]",
+               "C1CCCCC1" * 50, "C" * 3000] + list(_NON_ASCII_DIGITS)
+    for text in inputs:
+        _assert_parses_like_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_smiles_text)
+def test_parser_matches_reference_on_smiles_alphabet_strings(text):
+    _assert_parses_like_reference(text)
+
+
+_PARSE_AND_FREE = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+from attrilens.molgraph import parse_smiles
+texts = sys.stdin.read().split()
+parse_smiles(texts[0])
+gc.collect()
+before = sys.getallocatedblocks()
+mols = [parse_smiles(text) for text in texts]
+del mols
+gc.collect()
+print(sys.getallocatedblocks() - before)
+"""
+
+
+def test_freed_molecules_leave_no_allocation_behind():
+    """Parsing keeps nothing alive past its molecules.  A block left behind
+    per parse (``re.finditer`` left one on CPython 3.11) sits among the
+    molecules' objects and keeps their memory from the system."""
+    src = str(Path(molgraph.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _PARSE_AND_FREE, src],
+                          input="\n".join(_bundled_smiles()),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 50
+
+
+def test_adjacency_is_the_one_rebuilt_from_the_bonds():
+    for text in _bundled_smiles() + list(SMILES_CORPUS) + _LARGE_CASES:
+        mol = parse_smiles(text)
+        for graph in (mol, murcko_scaffold(mol), mol.largest_component()):
+            assert graph._adj == _reference_adjacency(graph), text
+
+
 def _reference_order_sum(mol, idx):
     return sum(molgraph.BOND_ORDER_VALUE[mol.bonds[bi].order]
                for _, bi in mol._adj[idx])
+
+
+def _reference_default_h(atom, degree, order_sum):
+    """Reference: the smallest default valence that fits, by a ``min``
+    scan over the element's valences."""
+    used = degree + 1 if atom.aromatic else int(order_sum + 0.999999)
+    valences = molgraph.DEFAULT_VALENCES.get(atom.element, ())
+    return min((v - used for v in valences if v >= used), default=0)
+
+
+def test_hydrogen_table_matches_min_scan():
+    for element in ("C", "N", "O", "S", "P", "B", "Cl", "Se", "Na"):
+        for aromatic in (False, True):
+            atom = molgraph.Atom(element, aromatic=aromatic)
+            for degree in range(9):
+                for half_units in range(19):
+                    args = (atom, degree, half_units / 2)
+                    assert (molgraph._default_h(*args)
+                            == _reference_default_h(*args)), args
 
 
 def _reference_assign_implicit_h(mol):
@@ -151,13 +440,8 @@ def _reference_assign_implicit_h(mol):
         if atom.bracket:
             atom.implicit_h = 0
             continue
-        if atom.aromatic:
-            used = mol.degree(atom.index) + 1
-        else:
-            used = int(_reference_order_sum(mol, atom.index) + 0.999999)
-        valences = molgraph.DEFAULT_VALENCES.get(atom.element, ())
-        atom.implicit_h = min((v - used for v in valences if v >= used),
-                              default=0)
+        atom.implicit_h = _reference_default_h(
+            atom, mol.degree(atom.index), _reference_order_sum(mol, atom.index))
     for atom in mol.atoms:
         if atom.bracket or atom.element not in molgraph.DEFAULT_VALENCES:
             continue
