@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Print two sha256 hashes that pin the package's outputs.
+
+1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
+   studies, plus three seeded ``write_smiles`` rewrites of each. Per
+   molecule it holds the atom fields, the bonds, each atom's
+   (neighbour, bond index) pairs, the rings and their bonds, ring
+   membership as the public predicates report it, the 14 implemented
+   descriptors as ``float.hex``, the scaffold key, and plain and seeded
+   ``write_smiles`` output.
+2. ``curves``: the default-seed, 40-step ``train-sim`` curves under GRPO and DAPO,
+   written as ``export_curves`` writes them.
+
+The dump reads the molecule only through its public attributes, so two
+versions of the package that store a molecule differently still hash the
+same when they report the same values. A change that claims unchanged
+outputs runs this before and after and compares the two lines.
+
+Run from the repository root:
+
+    python scripts/output_hash.py
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from attrilens import policysim  # noqa: E402
+from attrilens._data import data_dir, data_path  # noqa: E402
+from attrilens.descriptors import compute, implemented_names  # noqa: E402
+from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles  # noqa: E402
+
+REWRITES = 3
+CURVE_STEPS = 40
+
+
+def bundled_smiles() -> list[str]:
+    """Every distinct SMILES of the bundled CSVs and case studies."""
+    smiles = []
+    for path in sorted(data_dir().glob("*.csv")):
+        with open(path, newline="") as fh:
+            smiles += [row["smiles"] for row in csv.DictReader(fh)]
+    for line in data_path("case_studies.jsonl").read_text().splitlines():
+        if line.strip():
+            smiles.append(json.loads(line)["smiles"])
+    return list(dict.fromkeys(smiles))
+
+
+def dump_molecule(text: str) -> str:
+    mol = parse_smiles(text)
+    n_atoms, n_bonds = len(mol.atoms), len(mol.bonds)
+    bond_index = {id(bond): bi for bi, bond in enumerate(mol.bonds)}
+    fields = [
+        text,
+        [(a.element, a.formal_charge, a.aromatic, a.explicit_h, a.isotope,
+          a.index, a.bracket, a.chirality, a.implicit_h) for a in mol.atoms],
+        [(b.a, b.b, b.order, b.stereo) for b in mol.bonds],
+        [[(j, bond_index[id(bond)]) for j, bond in mol.neighbors(i)]
+         for i in range(n_atoms)],
+        mol.rings,
+        mol.ring_bond_ids,
+        [i for i in range(n_atoms) if mol.atom_in_ring(i)],
+        [i for i in range(n_atoms) if mol.atom_in_3ring(i)],
+        [bi for bi in range(n_bonds) if mol.bond_in_ring(bi)],
+        [compute(mol, name).value.hex() for name in implemented_names()],
+        scaffold_key(mol),
+        write_smiles(mol),
+        write_smiles(mol, rng=np.random.default_rng(0)),
+    ]
+    return repr(fields) + "\n"
+
+
+def molecules_hash() -> str:
+    digest = hashlib.sha256()
+    for seed, text in enumerate(bundled_smiles()):
+        digest.update(dump_molecule(text).encode())
+        mol = parse_smiles(text)
+        for k in range(REWRITES):
+            rng = np.random.default_rng([seed, k])
+            digest.update(dump_molecule(write_smiles(mol, rng=rng)).encode())
+    return digest.hexdigest()
+
+
+def curves_hash() -> str:
+    digest = hashlib.sha256()
+    for algorithm in ("grpo", "dapo"):
+        config = policysim.TrainConfig(steps=CURVE_STEPS, algorithm=algorithm,
+                                       dataset=str(data_path("toy_train.csv")))
+        curves, _policy = policysim.train(config)
+        out = io.StringIO()
+        policysim.export_curves(curves, out)
+        digest.update(f"{algorithm}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    print(f"molecules {molecules_hash()}")
+    print(f"curves {curves_hash()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .molgraph import ATOMIC_MASSES, Molecule
+from .molgraph import ATOMIC_MASSES, Atom, Molecule
 
 __all__ = [
     "DescriptorId",
@@ -181,19 +181,6 @@ class _AtomEnv(NamedTuple):
     degree: int
     # neighbor tuples: (element, aromatic, bond char)
     neighbors: tuple[tuple[str, bool, str], ...]
-
-
-def _neighbor_tuples(mol: Molecule) -> list[list[tuple[str, bool, str]]]:
-    """Each atom's (element, aromatic, bond char) per neighbor, in
-    adjacency order, from one pass over the bonds."""
-    atoms = mol.atoms
-    neighbors: list[list[tuple[str, bool, str]]] = [[] for _ in atoms]
-    for bond in mol.bonds:
-        ch = _BOND_CHAR[bond.order]
-        a, b = atoms[bond.a], atoms[bond.b]
-        neighbors[bond.a].append((b.element, b.aromatic, ch))
-        neighbors[bond.b].append((a.element, a.aromatic, ch))
-    return neighbors
 
 
 def _neighbor_in_class(neighbors, klass: str, single_only: bool) -> bool:
@@ -357,6 +344,23 @@ def _match_contribution(table: str, element: str, aromatic: bool, total_h: int,
     return None
 
 
+def _contribution(table: str, mol: Molecule, atom: Atom) -> float:
+    """The atom's contribution from ``table``, 0.0 when no row matches.
+
+    The memo key holds the atom's own fields and an (element, aromatic,
+    bond char) tuple per neighbor, in adjacency order."""
+    atoms, bonds = mol.atoms, mol.bonds
+    neighbors = []
+    for j, bi in mol._adj[atom.index]:
+        other = atoms[j]
+        neighbors.append((other.element, other.aromatic,
+                          _BOND_CHAR[bonds[bi].order]))
+    value = _match_contribution(table, atom.element, atom.aromatic,
+                                atom.total_h, atom.formal_charge,
+                                mol.atom_in_3ring(atom.index), tuple(neighbors))
+    return value if value is not None else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Calculators
 # ---------------------------------------------------------------------------
@@ -388,12 +392,9 @@ def _heavy_atom_count(mol: Molecule) -> float:
 @_calculator("MolLogP")
 def _mol_logp(mol: Molecule) -> float:
     total = 0.0
-    for atom, neighbors in zip(mol.atoms, _neighbor_tuples(mol)):
+    for atom in mol.atoms:
+        total += _contribution(_CRIPPEN, mol, atom)
         total_h = atom.total_h
-        contrib = _match_contribution(
-            _CRIPPEN, atom.element, atom.aromatic, total_h, atom.formal_charge,
-            mol.atom_in_3ring(atom.index), tuple(neighbors))
-        total += contrib if contrib is not None else 0.0
         if total_h:
             # One H's contribution depends only on its parent atom.
             total += total_h * (_match_contribution(
@@ -405,13 +406,9 @@ def _mol_logp(mol: Molecule) -> float:
 @_calculator("TPSA")
 def _tpsa(mol: Molecule) -> float:
     total = 0.0
-    for atom, neighbors in zip(mol.atoms, _neighbor_tuples(mol)):
-        if atom.element not in ("N", "O"):
-            continue
-        contrib = _match_contribution(
-            _TPSA, atom.element, atom.aromatic, atom.total_h, atom.formal_charge,
-            mol.atom_in_3ring(atom.index), tuple(neighbors))
-        total += contrib if contrib is not None else 0.0
+    for atom in mol.atoms:
+        if atom.element in ("N", "O"):
+            total += _contribution(_TPSA, mol, atom)
     return total
 
 

@@ -113,7 +113,7 @@ _BOND_CHAR_ORDER = {"-": "single", "=": "double", "#": "triple", ":": "aromatic"
                     "/": "single", "\\": "single"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     """One heavy atom (or explicit [H]) of the graph."""
 
@@ -140,7 +140,7 @@ class Atom:
         return ATOMIC_MASSES[self.element]
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     a: int
     b: int
@@ -159,11 +159,18 @@ class Molecule:
     entry of ``ring_bond_ids`` holds its bond indices, sorted.  Mutating a
     finished Molecule is unsupported -- derived fields (adjacency, ring
     membership, cached descriptor values) would go stale.
+
+    Storage is compact, as datasets hold thousands of molecules: ``Atom``
+    and ``Bond`` are slotted, ``_adj`` holds a tuple per atom of (neighbour,
+    bond index) pairs in bond order, and ring membership is one ``bytes``
+    flag per atom (``_atom_ring``: 0 none, 1 a ring, 3 also a 3-membered
+    ring) and per bond (``_bond_ring``: 0 or 1).  A finished molecule's
+    adjacency and ring flags are immutable.
     """
 
     __slots__ = ("atoms", "bonds", "rings", "ring_bond_ids", "source",
-                 "component_of", "n_components", "_adj", "_ring_bonds",
-                 "_ring_atoms", "_ring3_atoms", "descriptor_cache")
+                 "component_of", "n_components", "_adj", "_atom_ring",
+                 "_bond_ring", "descriptor_cache")
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], source: str = ""):
         self.atoms = atoms
@@ -173,10 +180,8 @@ class Molecule:
         self.ring_bond_ids: list[tuple[int, ...]] = []
         self.component_of: list[int] = []
         self.n_components = 0
-        self._adj: list[list[tuple[int, int]]] = []
-        self._ring_bonds: set[int] = set()
-        self._ring_atoms: set[int] = set()
-        self._ring3_atoms: set[int] = set()
+        self._adj: tuple[tuple[tuple[int, int], ...], ...] = ()
+        self._atom_ring, self._bond_ring = bytes(len(atoms)), bytes(len(bonds))
         self.descriptor_cache: dict[str, float] = {}
 
     # -- basic queries -------------------------------------------------
@@ -196,13 +201,13 @@ class Molecule:
         return len(self._adj[idx])
 
     def bond_in_ring(self, bond_index: int) -> bool:
-        return bond_index in self._ring_bonds
+        return self._bond_ring[bond_index] > 0
 
     def atom_in_ring(self, idx: int) -> bool:
-        return idx in self._ring_atoms
+        return self._atom_ring[idx] > 0
 
     def atom_in_3ring(self, idx: int) -> bool:
-        return idx in self._ring3_atoms
+        return self._atom_ring[idx] > 1
 
     def largest_component(self) -> "Molecule":
         """Sub-molecule holding the component with the most heavy atoms.
@@ -354,7 +359,7 @@ def parse_smiles(text: str) -> Molecule:
         raise SmilesError("no atoms parsed")
 
     mol = Molecule(atoms, bonds, source=text)
-    mol._adj = adj
+    mol._adj = tuple(map(tuple, adj))
     _finalize(mol)
     return mol
 
@@ -508,7 +513,8 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
     search, so each path is the one a search over all bonds finds.  A
     greedy pass over the candidates in (size, atoms) order keeps those
     linearly independent over GF(2) in bond space until the cyclomatic
-    number is met.  Each kept ring's bonds go to ``mol.ring_bond_ids``.
+    number is met.  Each kept ring's bonds go to ``mol.ring_bond_ids``, and
+    its atoms and bonds are flagged in ``mol._atom_ring`` and ``_bond_ring``.
     Without a fused bond the candidates are the fundamental cycles, which
     are independent and as many as the cyclomatic number: all are kept,
     and the GF(2) pass is skipped.
@@ -583,6 +589,7 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
 
     candidates.sort()
     basis: list[int] = []
+    atom_ring, bond_ring = bytearray(len(mol.atoms)), bytearray(len(mol.bonds))
     for _, ring_atoms, bonds in candidates:
         if fused:
             reduced = sum(1 << bi for bi in bonds)
@@ -594,12 +601,13 @@ def _perceive_rings(mol: Molecule, parent: dict[int, tuple[int, int]],
             basis.sort(reverse=True)
         mol.rings.append(ring_atoms)
         mol.ring_bond_ids.append(tuple(sorted(bonds)))
-        mol._ring_bonds.update(bonds)
-        mol._ring_atoms.update(ring_atoms)
-        if len(ring_atoms) == 3:
-            mol._ring3_atoms.update(ring_atoms)
+        for i in ring_atoms:
+            atom_ring[i] |= 3 if len(ring_atoms) == 3 else 1
+        for bi in bonds:
+            bond_ring[bi] = 1
         if len(mol.rings) == n_rings:
             break
+    mol._atom_ring, mol._bond_ring = bytes(atom_ring), bytes(bond_ring)
 
 
 def _shortest_path_avoiding(adj: list[list[tuple[int, int]]], src: int,
@@ -636,10 +644,10 @@ def _demote_nonring_aromatics(mol: Molecule) -> None:
     their aliphatic element.
     """
     for bi, bond in enumerate(mol.bonds):
-        if bond.order == "aromatic" and bi not in mol._ring_bonds:
+        if bond.order == "aromatic" and not mol._bond_ring[bi]:
             bond.order = "single"
     for atom in mol.atoms:
-        if atom.aromatic and atom.index not in mol._ring_atoms:
+        if atom.aromatic and not mol._atom_ring[atom.index]:
             atom.aromatic = False
 
 
@@ -721,7 +729,6 @@ def _aromatize_kekule(mol: Molecule) -> None:
 
 def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...],
                         ring_bonds: tuple[int, ...]) -> bool:
-    ring_set = set(ring)
     if all(mol.bonds[bi].order == "aromatic" for bi in ring_bonds):
         return False  # already aromatic
     pi = 0
@@ -737,13 +744,9 @@ def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...],
         if atom.aromatic:
             pi += 1
         elif doubles:
-            partner = doubles[0].other(idx)
-            if partner in ring_set:
-                pi += 1  # endocyclic double bond
-            elif mol.atom_in_ring(partner):
-                pi += 1  # exocyclic into a fused ring partner
-            else:
-                pi += 0  # exocyclic carbonyl-style double: sp2 but no pi here
+            # One pi electron from an endocyclic double bond or one into a
+            # fused ring partner; an exocyclic carbonyl-style one gives none.
+            pi += mol.atom_in_ring(doubles[0].other(idx))
         else:
             # No double bond: only heteroatoms donate a lone pair.
             if atom.element in ("N", "O", "S"):
@@ -783,7 +786,7 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
             _add_bond(bonds, adj, index_map[bond.a], index_map[bond.b],
                       bond.order, bond.stereo)
     sub = Molecule(atoms, bonds, source=mol.source)
-    sub._adj = adj
+    sub._adj = tuple(map(tuple, adj))
     _finalize(sub)
     return sub
 
