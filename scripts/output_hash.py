@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two sha256 hashes that pin the package's outputs.
+"""Print three sha256 hashes that pin the package's outputs.
 
 1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
    studies, plus three seeded ``write_smiles`` rewrites of each. Per
@@ -8,8 +8,9 @@
    membership as the public predicates report it, the 14 implemented
    descriptors as ``float.hex``, the scaffold key, and plain and seeded
    ``write_smiles`` output.
-2. ``curves``: the default-seed, 40-step ``train-sim`` curves under GRPO and DAPO,
-   written as ``export_curves`` writes them.
+2. ``curves-grpo`` and ``curves-dapo``: the default-seed, 40-step
+   ``train-sim`` curves of each algorithm, written as ``export_curves``
+   writes them, so a run shows which algorithm's curves changed.
 
 The dump reads the molecule only through its public attributes, so two
 versions of the package that store a molecule differently still hash the
@@ -90,21 +91,19 @@ def molecules_hash() -> str:
     return digest.hexdigest()
 
 
-def curves_hash() -> str:
-    digest = hashlib.sha256()
-    for algorithm in ("grpo", "dapo"):
-        config = policysim.TrainConfig(steps=CURVE_STEPS, algorithm=algorithm,
-                                       dataset=str(data_path("toy_train.csv")))
-        curves, _policy = policysim.train(config)
-        out = io.StringIO()
-        policysim.export_curves(curves, out)
-        digest.update(f"{algorithm}\n{out.getvalue()}".encode())
-    return digest.hexdigest()
+def curves_hash(algorithm: str) -> str:
+    config = policysim.TrainConfig(steps=CURVE_STEPS, algorithm=algorithm,
+                                   dataset=str(data_path("toy_train.csv")))
+    curves, _policy = policysim.train(config)
+    out = io.StringIO()
+    policysim.export_curves(curves, out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def main() -> int:
     print(f"molecules {molecules_hash()}")
-    print(f"curves {curves_hash()}")
+    for algorithm in ("grpo", "dapo"):
+        print(f"curves-{algorithm} {curves_hash(algorithm)}")
     return 0
 
 

@@ -7,10 +7,13 @@ decoupled-clipping variant ("dapo") that widens the upper clip bound,
 drops the KL term, and discards zero-variance groups instead of zeroing
 their advantages.
 
-Everything here is pure and operates on sequence-level log-probabilities:
-one scalar per sampled response, matching the factorized toy policy in
-:mod:`attrilens.policysim`. Token-level ratios are deliberately out of
-scope.
+Everything here is pure. A response's log-probability is a row of
+per-factor terms, ``(G, F)`` for a group: the factorized toy policy in
+:mod:`attrilens.policysim` has one factor per sampled choice, its form of
+a language model's tokens. The importance ratio and the clipped surrogate
+use each row's sum; the KL penalty is applied per factor and summed, as
+GRPO applies it per token (Shao et al. 2024, arXiv 2402.03300). A 1-D
+array of sequence log-probabilities is a group of one-factor responses.
 """
 
 from __future__ import annotations
@@ -85,12 +88,13 @@ class OptimConfig:
 
 @dataclass
 class ResponseRecord:
-    """One sampled response with its reward and log-probabilities."""
+    """One sampled response with its reward and log-probabilities, each a
+    float or an array of per-factor terms."""
 
     text: str
     reward_total: float
-    logp_old: float
-    logp_ref: float
+    logp_old: float | np.ndarray
+    logp_ref: float | np.ndarray
 
 
 @dataclass
@@ -175,7 +179,8 @@ def kl_estimate(logp_theta, logp_ref):
 def _surrogate_terms(
     group: TrajectoryGroup, logp_new, cfg: OptimConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared plumbing: (advantages, rho, surrogate, u)."""
+    """Shared plumbing: (advantages, rho, surrogate, u); ``rho`` and the
+    surrogate per response, ``u`` per factor."""
     if group.advantages is None:
         raise ValueError(
             "group.advantages not computed; call fill_advantages first"
@@ -184,9 +189,10 @@ def _surrogate_terms(
     new = np.asarray(logp_new, dtype=float)
     old = group.logp_old()
     ref = group.logp_ref()
-    if not (adv.shape == new.shape == old.shape == ref.shape):
-        raise ValueError("group arrays and logp_new must share length")
-    rho = np.exp(new - old)
+    if not (adv.shape == new.shape[:1] and new.shape == old.shape
+            == ref.shape):
+        raise ValueError("group arrays and logp_new must share shape")
+    rho = np.exp((new - old).reshape(adv.size, -1).sum(1))
     lo, hi = cfg.clip_band
     surr = np.minimum(rho * adv, np.clip(rho, lo, hi) * adv)
     u = np.exp(ref - new)
@@ -196,8 +202,9 @@ def _surrogate_terms(
 def grpo_objective(group: TrajectoryGroup, logp_new, cfg: OptimConfig) -> float:
     """Mean clipped surrogate minus the KL penalty for one group.
 
-    ``(1/G) sum_i [ min(rho_i*A_i, clip(rho_i)*A_i) - beta*k3_i ]`` with
-    ``rho_i = exp(logp_new_i - logp_old_i)``. Under ``dapo`` the clip band
+    ``(1/G) sum_i [ min(rho_i*A_i, clip(rho_i)*A_i) - beta*sum_f k3_if ]``
+    with ``rho_i = exp(sum_f (logp_new_if - logp_old_if))`` and ``k3_if``
+    the :func:`kl_estimate` of factor ``f``. Under ``dapo`` the clip band
     is asymmetric and beta is zero.
     """
     adv, _rho, surr, _u = _surrogate_terms(group, logp_new, cfg)
@@ -214,17 +221,18 @@ def grpo_gradient(
 ) -> np.ndarray:
     """Analytic gradient of :func:`grpo_objective` w.r.t. ``logp_new``.
 
-    Per element: ``(1/G) * [A_i * rho_i * active_i - beta * (1 - u_i)]``
+    Per factor: ``(1/G) * [A_i * rho_i * active_i - beta * (1 - u_if)]``
     where ``active_i`` is 1 exactly when the unclipped branch of the min
     is live (positive advantage and ratio at or below the upper clip, or
     negative advantage and ratio at or above the lower clip), and
-    ``u_i = exp(logp_ref_i - logp_new_i)`` from the KL term. At a clip
+    ``u_if = exp(logp_ref_if - logp_new_if)`` from the KL term. At a clip
     boundary the unclipped subgradient is chosen.
     """
     adv, rho, _surr, u = _surrogate_terms(group, logp_new, cfg)
     lo, hi = cfg.clip_band
     active = np.where(adv >= 0.0, rho <= hi, rho >= lo)
-    grad = adv * rho * active
+    grad = np.broadcast_to((adv * rho * active).reshape(
+        adv.shape + (1,) * (u.ndim - 1)), u.shape)
     beta = cfg.effective_kl_beta
     if beta != 0.0:
         # d/dlogp_new of (u - log u - 1) is (1 - u); the objective

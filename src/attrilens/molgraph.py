@@ -165,7 +165,9 @@ class Molecule:
     bond index) pairs in bond order, and ring membership is one ``bytes``
     flag per atom (``_atom_ring``: 0 none, 1 a ring, 3 also a 3-membered
     ring) and per bond (``_bond_ring``: 0 or 1).  A finished molecule's
-    adjacency and ring flags are immutable.
+    adjacency and ring flags are immutable.  ``component_of`` labels each
+    atom's connected component only when there are two or more; it is
+    empty otherwise.
     """
 
     __slots__ = ("atoms", "bonds", "rings", "ring_bond_ids", "source",
@@ -178,7 +180,7 @@ class Molecule:
         self.source = source
         self.rings: list[tuple[int, ...]] = []
         self.ring_bond_ids: list[tuple[int, ...]] = []
-        self.component_of: list[int] = []
+        self.component_of: list[int] | tuple[()] = ()
         self.n_components = 0
         self._adj: tuple[tuple[tuple[int, int], ...], ...] = ()
         self._atom_ring, self._bond_ring = bytes(len(atoms)), bytes(len(bonds))
@@ -495,7 +497,7 @@ def _spanning_forest(mol: Molecule) -> tuple[dict[int, tuple[int, int]], list[in
                     parent[j] = (i, bi)
                     queue.append(j)
         comp += 1
-    mol.component_of = label
+    mol.component_of = label if comp > 1 else ()
     mol.n_components = comp
     return parent, depth
 

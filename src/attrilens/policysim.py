@@ -9,19 +9,22 @@ training exercises the production parser and rewards end to end. The point
 is to reproduce which reward components are learned quickly and which ones
 slowly -- not model quality.
 
-Bits are drawn by comparing one uniform draw with their probability, the
-attribute count by Gumbel-max over its log-probabilities, and the ordered
-attributes by Gumbel-top-k over their logits: add one Gumbel noise vector
-and take the ``count`` largest entries, which draws the same distribution
-as ``count`` sequential softmax draws without replacement (Kool, van Hoof
-& Welling 2019, arXiv 1903.06059). Their log-probability is the
-Plackett-Luce product of those sequential draws, computed in closed form.
+A query's G responses are drawn, scored and differentiated together, in
+array operations: bits by comparing uniforms with their probabilities,
+counts by Gumbel-max, and the ordered attributes by Gumbel-top-k, the
+``count`` largest entries of one Gumbel-perturbed logit vector, which
+draws ``count`` sequential softmax draws without replacement (Kool, van
+Hoof & Welling 2019, arXiv 1903.06059). Their log-probability is that of
+the sequential draws, in closed Plackett-Luce form, kept per factor (one
+per sampled choice). These group draws replaced one draw call per factor,
+so seeded ``train-sim`` curves differ from those of earlier versions.
 
 Training is plain gradient ascent on the analytic policy gradient of the
 group-relative clipped objective (:mod:`attrilens.grpo`), one update per
 step, on-policy (the importance ratio is 1 at the point of each update,
 so only the advantage weights and the KL pull toward the initial
-parameters shape the gradient).
+parameters shape the gradient). The KL penalty is applied per factor,
+the simulator's form of GRPO's per-token KL.
 """
 
 from __future__ import annotations
@@ -186,60 +189,26 @@ _BAD_PROBABILITIES = (
 _LOG_OMIT = float(np.log(1.0 / len(_TAG_NAMES)))
 
 
-def _plackett_luce_logp(z: np.ndarray, attrs):
-    """Log-probability of drawing ``attrs`` in order, without replacement,
-    from the categorical with logits ``z``; with ``order``, ``a = z[order]``
-    and ``mass``, from which :func:`_plackett_luce` builds the score.
-
-    Draw ``t`` picks ``i_t`` from the entries not yet drawn, so the
-    log-probability has the Plackett-Luce form
-    ``sum_t (z[i_t] - log sum_{j live at t} exp(z[j]))``. With the undrawn
-    entries first and then the drawn ones from last to first, the entries
-    live at draw ``t`` are a prefix, so one ``np.logaddexp.accumulate``
-    gives every draw's live log-mass. A drawn entry with ``z = -inf`` has
-    log-prob ``-inf``; an index outside ``z``, a repeated index, or a draw
-    with no live mass left raises ``ValueError``.
-    """
-    n, k = z.size, len(attrs)
-    order = [j for j in range(n) if j not in attrs] + list(attrs[::-1])
-    if len(order) != n:
-        raise ValueError(f"attributes {attrs} are not distinct indices "
-                         f"below {n}")
-    a = z[order]
-    mass = np.logaddexp.accumulate(a)[n - k:]  # live log-mass, last draw first
-    if k and mass[0] == -np.inf:
-        raise ValueError("no attribute with positive probability is left "
-                         "to draw")
-    return float((a[n - k:] - mass).sum()), order, a, mass
-
-
-def _plackett_luce(z: np.ndarray, attrs) -> tuple[float, np.ndarray]:
-    """The log-probability of :func:`_plackett_luce_logp`, and the sum over
-    the draws of each draw's masked softmax."""
-    logp, order, a, mass = _plackett_luce_logp(z, attrs)
-    n, k = z.size, len(attrs)
-    live = np.arange(n) <= np.arange(n - k, n)[:, None]
-    p_sum = np.empty(n)
-    p_sum[order] = np.exp(np.where(live, a - mass[:, None], -np.inf)).sum(0)
-    return logp, p_sum
-
-
 class _Table:
     """Every factor distribution of one policy at temperature ``T``.
 
-    A bit row is ``(p, (log(1-p), log p), ((0-p)/T, (1-p)/T))`` in Python
-    floats. The count factor is one log-softmax, ``count_logp``. The
-    attribute factor is its scaled logits ``attr_z = logits_attr / T``:
-    the ordered draw of distinct attributes is Plackett-Luce in these
-    logits, so no masked row is ever built (see :func:`_plackett_luce`).
-    A NaN logit, or ``logit/T`` overflowing, raises ``ValueError``.
+    The bits share one vector ``p`` of probabilities of 1: the format bit
+    at 0, attribute ``j``'s polarity at ``1 + j`` and query ``q``'s answer
+    at ``1 + n_attrs + q``, with ``log_p``/``log_q`` the logs of ``p`` and
+    ``1 - p``. The count factor is one log-softmax, ``count_logp``. The
+    ordered draw of distinct attributes is Plackett-Luce in the scaled
+    logits ``attr_z = logits_attr / T``. A NaN logit, ``logit/T``
+    overflowing, or a count head longer than the attribute vocabulary
+    raises ``ValueError``.
     """
 
     def __init__(self, policy: PolicyParams, T: float):
-        self.policy = policy
-        self.T = T
-        self.inv_T = 1.0 / T
-        p = _sigmoid(np.concatenate((
+        n, K = policy.n_attrs, policy.max_count
+        self.T, self.n_attrs, self.max_count = T, n, K
+        if K > n:
+            raise ValueError(f"a count of up to {K} needs as many "
+                             f"attributes, the policy has {n}")
+        self.p = p = _sigmoid(np.concatenate((
             [policy.logit_format], policy.logits_polarity,
             policy.logits_answer,
         )) / T)
@@ -250,96 +219,180 @@ class _Table:
         if not -np.inf < m < np.inf:
             raise ValueError(_BAD_PROBABILITIES)
         self.count_logp = z - (m + np.log(np.exp(z - m).sum()))
-        self.count_score = np.exp(self.count_logp) / -T
         self.attr_z = policy.logits_attr / T
         if not (self.attr_z < np.inf).all():
             raise ValueError(_BAD_PROBABILITIES)
         with np.errstate(divide="ignore"):
-            rows = list(zip(
-                p.tolist(),
-                zip(np.log(1.0 - p).tolist(), np.log(p).tolist()),
-                zip(((0.0 - p) / T).tolist(), ((1.0 - p) / T).tolist()),
-            ))
-        self.format = rows[0]
-        self.polarity = rows[1:1 + policy.n_attrs]
-        self.answer = rows[1 + policy.n_attrs:]
+            self.log_p, self.log_q = np.log(p), np.log(1.0 - p)
+        # each factor's draw slot (see _Group); -1 for format, answer, count
+        self.slot = np.r_[-1, -1, 0:K, -1, 0:K]
 
 
-def _walk(table: _Table, ref: _Table, query_index: int, pick):
-    """Visit every factor of the policy once, in sampling order.
+class _Group:
+    """The G actions drawn for one query, as arrays.
 
-    ``pick(kind, p)`` chooses each factor's outcome: a bool for
-    ``kind="bit"`` (``p`` is the probability of True), an index below ``p``
-    for the equiprobable ``kind="uniform"``, an index into the
-    log-probabilities ``p`` for ``kind="categorical"``, and for
-    ``kind="ranking"`` with ``p = (z, count)`` the ``count`` distinct
-    attribute indices, in draw order, of a without-replacement draw from
-    the logits ``z``. Returns the action, its exact log-probability under
-    ``table``'s policy and under ``ref``'s (the same terms, in the same
-    order; ``ref`` may be ``table`` itself), and its score under
-    ``table``'s policy -- the gradient of ``logp`` with respect to every
-    logit, in the standard forms at temperature ``T``: ``(b - p)/T`` for a
-    Bernoulli bit and ``(onehot - p)/T`` for each categorical draw, where
-    each attribute draw's ``p`` is the softmax over the attributes not yet
-    drawn. The uniform choice of which tag pair to omit contributes
-    ``log(1/3)`` to each log-probability and nothing to the score.
+    Per row: ``count``; ``order``, the attributes in draw order and then
+    the undrawn ones in index order; ``omit``, the tag pair dropped if the
+    format bit is 0; ``bits``, the format, answer and per-slot polarity
+    bits, found at ``bit_at`` in the table's bit vector. A row has
+    ``2 * max_count + 3`` factors: its bits (format with the omit choice),
+    its count and one Plackett-Luce draw per slot; ``mask`` drops the slots
+    past the count.
     """
-    T = table.T
-    score = table.policy.zeros_like()
-    logp = logp_ref = 0.0
 
-    # format bit, and the omitted tag pair when it comes up 0
-    p, logs, dscore = table.format
-    format_ok = bool(pick("bit", p))
-    logp += logs[format_ok]
-    logp_ref += ref.format[1][format_ok]
-    score.logit_format = dscore[format_ok]
-    omit = None
-    if not format_ok:
-        omit = _TAG_NAMES[pick("uniform", len(_TAG_NAMES))]
-        logp += _LOG_OMIT
-        logp_ref += _LOG_OMIT
+    __slots__ = ("omit", "count", "order", "bits", "bit_at", "mask")
 
-    # attribute count
-    count = pick("categorical", table.count_logp)
-    logp += float(table.count_logp[count])
-    logp_ref += float(ref.count_logp[count])
-    score.logits_count = table.count_score.copy()
-    score.logits_count[count] += table.inv_T
+    def __init__(self, table: _Table, query_index: int, omit, count, order):
+        K, n = table.max_count, table.n_attrs
+        if not 0 <= query_index < table.p.size - 1 - n:
+            raise ValueError(f"no answer logit for query {query_index}")
+        self.omit, self.count, self.order = omit, count, order
+        self.bit_at = np.empty((count.size, 2 + K), dtype=np.intp)
+        self.bit_at[:, 0] = 0
+        self.bit_at[:, 1] = 1 + n + query_index
+        self.bit_at[:, 2:] = 1 + order[:, :K]
+        self.mask = table.slot < count[:, None]
 
-    # ordered without-replacement attribute draws, in Plackett-Luce form;
-    # a count above the vocabulary leaves the ranking short
-    attrs = pick("ranking", (table.attr_z, count))
-    if len(attrs) != count:
-        raise ValueError(f"a count of {count} needs as many attributes, "
-                         f"got {attrs}")
-    term, p_sum = _plackett_luce(table.attr_z, attrs)
-    logp += term
-    logp_ref += (term if ref is table
-                 else _plackett_luce_logp(ref.attr_z, attrs)[0])
-    score.logits_attr = p_sum / -T
-    score.logits_attr[list(attrs)] += table.inv_T
 
-    # per-attribute polarity bits
-    polarities = []
-    for idx in attrs:
-        p, logs, dscore = table.polarity[idx]
-        bit = int(pick("bit", p))
-        logp += logs[bit]
-        logp_ref += ref.polarity[idx][1][bit]
-        score.logits_polarity[idx] += dscore[bit]
-        polarities.append(bit)
+def _draw(table: _Table, rng: np.random.Generator, size: int,
+          query_index: int) -> _Group:
+    """Draw ``size`` actions in four calls on ``rng``: uniforms for the
+    bits, the omitted tag pairs, and Gumbel noise for the counts (Gumbel-max)
+    and for the orders (Gumbel-top-k: a row's first ``count`` entries).
+    The undrawn attributes follow in index order, as in :func:`_given`, so
+    a drawn action scores bit for bit as :func:`action_logp` scores it."""
+    n = table.n_attrs
+    u = rng.random((size, 2 + table.max_count))
+    omit = rng.integers(len(_TAG_NAMES), size=size)
+    count = (table.count_logp
+             + rng.gumbel(size=(size, table.count_logp.size))).argmax(1)
+    order = (table.attr_z + rng.gumbel(size=(size, n))).argsort(1)[:, ::-1]
+    slot = np.arange(n)
+    order = np.take_along_axis(order, np.where(
+        slot < count[:, None], slot, n + order).argsort(1), 1)
+    group = _Group(table, query_index, omit, count, order)
+    group.bits = u < table.p[group.bit_at]
+    return group
 
-    # per-query answer bit
-    p, logs, dscore = table.answer[query_index]
-    answer = bool(pick("bit", p))
-    logp += logs[answer]
-    logp_ref += ref.answer[query_index][1][answer]
-    score.logits_answer[query_index] = dscore[answer]
 
-    action = Action(format_ok, omit, count, tuple(attrs), tuple(polarities),
-                    answer)
-    return action, logp, logp_ref, score
+def _given(table: _Table, query_index: int, actions) -> _Group:
+    """The group of the given actions; one that the policy cannot take
+    raises ``ValueError``."""
+    K, n = table.max_count, table.n_attrs
+    orders = []
+    for act in actions:
+        order = [*act.attrs, *(j for j in range(n) if j not in act.attrs)]
+        if not (0 <= act.count <= K
+                and len(act.attrs) == act.count == len(act.polarities)
+                and sorted(order) == list(range(n))
+                and set(act.polarities) <= {0, 1}
+                and act.format_ok in (0, 1) and act.answer in (0, 1)
+                and (act.omit is None if act.format_ok
+                     else act.omit in _TAG_NAMES)):
+            raise ValueError(f"inconsistent action {act}")
+        orders.append(order)
+    group = _Group(table, query_index,
+                   np.array([_TAG_NAMES.index(a.omit) if a.omit else 0
+                             for a in actions]),
+                   np.array([a.count for a in actions]),
+                   np.array(orders, dtype=np.intp))
+    group.bits = np.array([[a.format_ok, a.answer, *a.polarities,
+                            *[0] * (K - a.count)] for a in actions], bool)
+    return group
+
+
+def _actions(group: _Group) -> list[Action]:
+    K = group.bit_at.shape[1] - 2
+    return [
+        Action(ok, None if ok else _TAG_NAMES[omit], count,
+               tuple(order[:count]), tuple(pols[:count]), answer)
+        for ok, answer, pols, omit, count, order in zip(
+            group.bits[:, 0].tolist(), group.bits[:, 1].tolist(),
+            group.bits[:, 2:].astype(int).tolist(), group.omit.tolist(),
+            group.count.tolist(), group.order[:, :K].tolist(),
+        )
+    ]
+
+
+def _live_mass(table: _Table, group: _Group) -> tuple[np.ndarray, np.ndarray]:
+    """``a = attr_z[order]`` and, per row and slot ``t``, the log-mass of
+    the attributes live at draw ``t``, ``log sum_{s >= t} exp(a[s])``: one
+    ``np.logaddexp.accumulate`` over the reversed rows."""
+    a = table.attr_z[group.order]
+    return a, np.logaddexp.accumulate(a[:, ::-1], axis=1)[:, ::-1]
+
+
+def _factor_logp(table: _Table, group: _Group) -> np.ndarray:
+    """The ``(G, 2 * max_count + 3)`` per-factor log-probabilities of the
+    group's actions under ``table``, 0 where a row has no factor. Draw
+    ``t`` has the Plackett-Luce form ``a[t] - log sum_{s >= t} exp(a[s])``:
+    ``-inf`` for an attribute with ``z = -inf``, and ``ValueError`` when no
+    live mass is left.
+    """
+    K = table.max_count
+    a, mass = _live_mass(table, group)
+    live = group.mask[:, 3 + K:]
+    if (mass[:, :K][live] == -np.inf).any():
+        raise ValueError("no attribute with positive probability is left "
+                         "to draw")
+    at = group.bit_at
+    with np.errstate(invalid="ignore"):  # -inf - -inf in dead slots
+        logp = np.concatenate((
+            np.where(group.bits, table.log_p[at], table.log_q[at]),
+            table.count_logp[group.count, None],
+            (a - mass)[:, :K],
+        ), axis=1)
+    logp[:, 0] += np.where(group.bits[:, 0], 0.0, _LOG_OMIT)
+    return np.where(group.mask, logp, 0.0)
+
+
+def _draw_softmax(table: _Table, group: _Group, weight) -> np.ndarray:
+    """``sum_{i,t} weight[i, t] * p_it`` over the rows and draw slots, where
+    ``p_it`` is the softmax over the attributes live at row ``i``'s draw
+    ``t``; a slot past a row's count adds nothing."""
+    K, n = table.max_count, table.n_attrs
+    a, mass = _live_mass(table, group)
+    live = (np.arange(n) >= np.arange(K)[:, None]) & group.mask[:, 3 + K:,
+                                                                None]
+    with np.errstate(invalid="ignore"):  # -inf - -inf in dead slots
+        p = np.exp(np.where(live, a[:, None, :] - mass[:, :K, None], -np.inf))
+    return np.bincount(group.order.ravel(),
+                       np.einsum("it,its->is", weight, p).ravel(),
+                       minlength=n)
+
+
+def _add_score(table: _Table, group: _Group, coeff,
+               out: PolicyParams) -> None:
+    """``out += sum_{i,f} coeff[i, f] * score_if``, where ``score_if`` is the
+    gradient of factor ``f``'s log-probability of action ``i`` with respect
+    to every logit, in the standard forms at temperature ``T``: ``(b -
+    p)/T`` for a Bernoulli bit and ``(onehot - p)/T`` for each categorical
+    draw, where each attribute draw's ``p`` is the softmax over the
+    attributes not yet drawn. The uniform omit choice has no gradient."""
+    T, K, n = table.T, table.max_count, table.n_attrs
+    c = np.where(group.mask, coeff, 0.0)
+    at = group.bit_at
+    bits = np.bincount(at.ravel(),
+                       (c[:, :2 + K] * (group.bits - table.p[at])).ravel(),
+                       minlength=table.p.size) / T
+    out.logit_format += float(bits[0])
+    out.logits_polarity += bits[1:1 + n]
+    out.logits_answer += bits[1 + n:]
+    c_count, c_draw = c[:, 2 + K], c[:, 3 + K:]
+    out.logits_count += (np.bincount(group.count, c_count, minlength=K + 1)
+                         - c_count.sum() * np.exp(table.count_logp)) / T
+    out.logits_attr += (np.bincount(group.order[:, :K].ravel(),
+                                    c_draw.ravel(), minlength=n)
+                        - _draw_softmax(table, group, c_draw)) / T
+
+
+def _logp_and_score(policy: PolicyParams, table: _Table,
+                    group: _Group) -> tuple[float, PolicyParams]:
+    """Log-probability and score of a group of one."""
+    logp = _factor_logp(table, group)
+    score = policy.zeros_like()
+    _add_score(table, group, np.ones_like(logp), score)
+    return float(logp.sum()), score
 
 
 def action_logp(
@@ -349,47 +402,8 @@ def action_logp(
     temperature: float,
 ) -> tuple[float, PolicyParams]:
     """Exact factorized log-probability of ``action`` and its score."""
-    if not 0 <= action.count <= policy.max_count:
-        raise ValueError(f"inconsistent action {action}")
-    outcomes = iter((
-        action.format_ok,
-        *(() if action.format_ok else (_TAG_NAMES.index(action.omit),)),
-        action.count,
-        action.attrs,
-        *action.polarities,
-        action.answer,
-    ))
     table = _Table(policy, temperature)
-    try:
-        walked, logp, _, score = _walk(
-            table, table, query_index, lambda kind, p: next(outcomes)
-        )
-    except StopIteration:
-        walked = None
-    if walked != action:
-        raise ValueError(f"inconsistent action {action}")
-    return logp, score
-
-
-def _sampler(rng: np.random.Generator):
-    """The ``pick`` that draws each factor's outcome from ``rng``: bits by
-    ``rng.random()``, the count by Gumbel-max over its log-probabilities,
-    and the ordered attributes by Gumbel-top-k over their logits (Kool,
-    van Hoof & Welling 2019), which draws exactly the sequential
-    without-replacement distribution from one noise vector."""
-
-    def draw(kind, p):
-        if kind == "bit":
-            return rng.random() < p
-        if kind == "uniform":
-            return int(rng.integers(p))
-        if kind == "categorical":
-            return int((p + rng.gumbel(size=p.size)).argmax())
-        z, count = p
-        return tuple((z + rng.gumbel(size=z.size)).argsort()[::-1][:count]
-                     .tolist())
-
-    return draw
+    return _logp_and_score(policy, table, _given(table, query_index, [action]))
 
 
 def _vocabulary(policy: PolicyParams) -> tuple[str, ...]:
@@ -429,7 +443,9 @@ def sample_response(
         raise ConfigError("the simulator supports classification prompts only")
     vocab = _vocabulary(policy)
     table = _Table(policy, temperature)
-    action, logp, _, score = _walk(table, table, query_index, _sampler(rng))
+    group = _draw(table, rng, 1, query_index)
+    (action,) = _actions(group)
+    logp, score = _logp_and_score(policy, table, group)
     return SampledResponse(_render_action(action, vocab), logp, action, score)
 
 
@@ -576,9 +592,9 @@ def train(
     samples still count toward the reported curves, which describe what
     the policy actually emits). Each step builds one factor table for the
     current policy and, when the objective has a KL term, one for the
-    reference; each sample's walk reads its log-probability under both.
-    Without a KL term (``dapo``) nothing reads the reference log-prob, and
-    the walk reads the current table twice.
+    reference; each group is scored per factor under both. Without a KL
+    term (``dapo``) nothing reads the reference log-probs, and the group's
+    scores under the current table stand in for them.
     """
     if dataset is None:
         if config.dataset is None:
@@ -612,13 +628,12 @@ def train(
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, step, qid])
             )
-            draw = _sampler(rng)
-            samples = [
-                _walk(current, frozen, qid, draw)
-                for _ in range(config.group_size)
-            ]
+            drawn = _draw(current, rng, config.group_size, qid)
+            logp = _factor_logp(current, drawn)
+            logp_ref = logp if frozen is current else _factor_logp(frozen,
+                                                                   drawn)
             records = []
-            for action, logp, logp_ref, _ in samples:
+            for action, lp, lp_ref in zip(_actions(drawn), logp, logp_ref):
                 text = _render_action(action, vocab)
                 parsed = parse_response(text, task=query.prompt.task)
                 bd = total_reward(
@@ -632,10 +647,8 @@ def train(
                 )
                 sums[:5] += (bd.format, bd.correct, bd.count,
                              bd.rational, bd.total)
-                records.append(
-                    grpo.ResponseRecord(text, bd.total, logp, logp_ref)
-                )
-            n_samples += len(samples)
+                records.append(grpo.ResponseRecord(text, bd.total, lp, lp_ref))
+            n_samples += len(records)
 
             group = grpo.TrajectoryGroup(f"q{qid}", records)
             grpo.fill_advantages(group)
@@ -643,9 +656,8 @@ def train(
                 continue
             logp_new = group.logp_old()  # on-policy single update
             sums[5] += grpo.grpo_objective(group, logp_new, cfg)
-            per_sample = grpo.grpo_gradient(group, logp_new, cfg)
-            for coeff, (*_, score) in zip(per_sample, samples):
-                grad_acc.add_scaled(score, float(coeff))
+            _add_score(current, drawn,
+                       grpo.grpo_gradient(group, logp_new, cfg), grad_acc)
             n_groups_kept += 1
 
         if n_groups_kept:

@@ -268,39 +268,41 @@ def test_criterion_3_grpo_math_properties():
     apart = np.abs(a - b) > 1e-6
     assert np.all(kl[apart] > 0.0)
 
-    # analytic gradient vs central finite differences, away from the kinks
+    # analytic gradient vs central finite differences, away from the kinks;
+    # each response's log-prob is a row of 1-4 factors, perturbed one by one
     checked = 0
     for trial in range(400):
         cfg = OptimConfig(algorithm="grpo" if trial % 2 == 0 else "dapo")
-        n = int(rng.integers(2, 9))
+        n, f = int(rng.integers(2, 9)), int(rng.integers(1, 5))
         rewards = rng.uniform(-3.0, 4.0, size=n)
-        logp_old = rng.uniform(-6.0, -0.5, size=n)
-        logp_ref = logp_old + rng.uniform(-0.5, 0.5, size=n)
+        logp_old = rng.uniform(-6.0, -0.5, size=(n, f)) / f
+        logp_ref = logp_old + rng.uniform(-0.5, 0.5, size=(n, f))
         group = TrajectoryGroup(
             "q",
-            [ResponseRecord(f"r{i}", float(rewards[i]), float(logp_old[i]),
-                            float(logp_ref[i])) for i in range(n)],
+            [ResponseRecord(f"r{i}", float(rewards[i]), logp_old[i],
+                            logp_ref[i]) for i in range(n)],
         )
         adv = fill_advantages(group)
         if np.allclose(adv, 0.0):
             continue
-        logp_new = logp_old + rng.uniform(-0.3, 0.3, size=n)
-        rho = np.exp(logp_new - logp_old)
+        logp_new = logp_old + rng.uniform(-0.3, 0.3, size=(n, f)) / f
+        rho = np.exp((logp_new - logp_old).sum(1))
         lo, hi = cfg.clip_band
         if np.any(np.abs(rho - lo) < 1e-3) or np.any(np.abs(rho - hi) < 1e-3):
             continue
         analytic = grpo_gradient(group, logp_new, cfg)
+        assert analytic.shape == (n, f)
         h = 1e-6
-        for i in range(n):
+        for i, j in np.ndindex(n, f):
             up, dn = logp_new.copy(), logp_new.copy()
-            up[i] += h
-            dn[i] -= h
+            up[i, j] += h
+            dn[i, j] -= h
             numeric = (
                 grpo_objective(group, up, cfg)
                 - grpo_objective(group, dn, cfg)
             ) / (2 * h)
-            rel = abs(analytic[i] - numeric) / max(abs(numeric), 1e-8)
-            assert rel < 1e-5, (trial, i, rel)
+            rel = abs(analytic[i, j] - numeric) / max(abs(numeric), 1e-8)
+            assert rel < 1e-5, (trial, i, j, rel)
         checked += 1
     assert checked > 250
     assert time.monotonic() - started < 30.0

@@ -323,6 +323,70 @@ def test_gradient_keeps_kl_term_when_clipped():
     assert grad[1] == pytest.approx(-0.5 * (1.0 - u1) / 2.0, abs=1e-12)
 
 
+def _factor_group(rewards, logp_old, logp_ref):
+    return TrajectoryGroup(
+        "q",
+        [ResponseRecord(f"r{i}", float(r), logp_old[i], logp_ref[i])
+         for i, r in enumerate(rewards)],
+    )
+
+
+def test_factor_rows_share_the_sequence_surrogate():
+    # without a KL term each factor's coefficient is its row's sequence
+    # coefficient: the surrogate reads only the row sums
+    rng = np.random.default_rng(3)
+    rewards = rng.uniform(-3.0, 4.0, size=6)
+    old = rng.uniform(-2.0, -0.1, size=(6, 5))
+    new = old + rng.uniform(-0.05, 0.05, size=(6, 5))
+    cfg = OptimConfig(algorithm="dapo")
+    rows = _factor_group(rewards, old, old)
+    seq = _group(rewards, old.sum(1))
+    fill_advantages(rows)
+    fill_advantages(seq)
+    assert grpo_objective(rows, new, cfg) == pytest.approx(
+        grpo_objective(seq, new.sum(1), cfg), rel=1e-12)
+    grad = grpo_gradient(rows, new, cfg)
+    assert grad.shape == (6, 5)
+    assert np.allclose(grad, grpo_gradient(seq, new.sum(1), cfg)[:, None],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_objective_sums_kl_over_factors():
+    rng = np.random.default_rng(4)
+    old = rng.uniform(-2.0, -0.1, size=(4, 3))
+    ref = old + rng.uniform(-0.5, 0.5, size=(4, 3))
+    g = _factor_group([0.0, 1.0, 2.0, 3.0], old, ref)
+    fill_advantages(g)
+    cfg = OptimConfig()
+    # on-policy the surrogate is the mean advantage, 0
+    assert grpo_objective(g, old, cfg) == pytest.approx(
+        -cfg.kl_beta * kl_estimate(old, ref).sum() / 4, abs=1e-15)
+    with pytest.raises(ValueError):
+        grpo_objective(g, old[:, :2], cfg)
+
+
+def test_kl_coefficients_stay_bounded_per_factor():
+    # one response sits 10 nats below the reference, spread over 10
+    # factors; as one sequence-level factor its KL coefficient would be
+    # beta * (e^10 - 1) / G, nearly a thousand times the advantage term
+    rng = np.random.default_rng(967)
+    G, F = 8, 10
+    rewards = rng.uniform(-3.0, 4.0, size=G)
+    logp = rng.uniform(-2.0, -0.1, size=(G, F))
+    ref = logp.copy()
+    ref[0] += 1.0
+
+    def kl_share(old, ref):
+        g = _factor_group(rewards, old, ref)
+        fill_advantages(g)
+        advantage = grpo_gradient(g, old, OptimConfig(kl_beta=0.0))
+        kl = grpo_gradient(g, old, OptimConfig()) - advantage
+        return np.abs(kl).max() / np.abs(advantage).max()
+
+    assert kl_share(logp, ref) <= 1.0
+    assert kl_share(logp.sum(1), ref.sum(1)) > 100.0
+
+
 # ---------------------------------------------------------------------------
 # dynamic sampling
 # ---------------------------------------------------------------------------

@@ -9,17 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attrilens import policysim
+from attrilens import grpo, policysim
 from attrilens._data import data_path
 from attrilens.policysim import (
     Action,
     ConfigError,
     PolicyParams,
     TrainConfig,
-    _plackett_luce,
-    _sampler,
+    _actions,
+    _add_score,
+    _draw,
+    _draw_softmax,
+    _factor_logp,
+    _given,
     _Table,
-    _walk,
     action_logp,
     export_curves,
     load_sim_dataset,
@@ -177,6 +180,10 @@ def test_score_gradient_matches_finite_differences():
         Action(True, None, 1, (-1,), (1,), True),        # negative index
         Action(True, None, 2, (0, 0), (1, 1), True),     # repeated attr
         Action(True, None, 3, (0, 1, 2), (1, 1, 1), True),  # count past head
+        Action(2, None, 0, (), (), True),                # format not a bit
+        Action(None, "think", 0, (), (), True),          # format not a bit
+        Action(True, None, 0, (), (), 2),                # answer not a bit
+        Action(True, None, 0, (), (), None),             # answer not a bit
     ],
 )
 def test_action_logp_rejects_inconsistent_action(action):
@@ -345,34 +352,55 @@ def _sequential_softmax(z, attrs):
     return float(logp), p_sum, p_min
 
 
-def _reference_logp(policy, action, query_index, T):
-    """Per-draw replay of ``action``: every factor's sigmoid or softmax is
-    recomputed in numpy, each attribute draw from a softmax over the
-    attributes not yet drawn; returns (logp, score)."""
-    score = policy.zeros_like()
+def _reference_factors(policy, action, query_index, T):
+    """Per-draw replay of ``action``: each factor's log-prob and score, in
+    the group layout (format with the omit choice, answer, one polarity
+    per draw slot, count, one attribute draw per slot; a slot past the
+    count is 0). Every factor's sigmoid or softmax is recomputed in numpy,
+    each attribute draw from a softmax over the attributes not yet drawn."""
+    K = policy.max_count
+    logps = np.zeros(2 * K + 3)
+    scores = [policy.zeros_like() for _ in logps]
     p_ok = _sigmoid(policy.logit_format / T)
-    logp = np.log(p_ok if action.format_ok else 1.0 - p_ok)
-    score.logit_format = (action.format_ok - p_ok) / T
+    logps[0] = np.log(p_ok if action.format_ok else 1.0 - p_ok)
     if not action.format_ok:
-        logp += np.log(1.0 / 3)
+        logps[0] += np.log(1.0 / 3)
+    scores[0].logit_format = (action.format_ok - p_ok) / T
+    p_true = _sigmoid(policy.logits_answer[query_index] / T)
+    logps[1] = np.log(p_true if action.answer else 1.0 - p_true)
+    scores[1].logits_answer[query_index] = (action.answer - p_true) / T
     z = policy.logits_count / T
     p_count = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
-    logp += np.log(p_count[action.count])
-    score.logits_count = -p_count / T
-    score.logits_count[action.count] += 1.0 / T
-    attr_logp, p_sum, _ = _sequential_softmax(policy.logits_attr / T,
-                                              action.attrs)
-    logp += attr_logp
-    score.logits_attr = -p_sum / T
-    score.logits_attr[list(action.attrs)] += 1.0 / T
-    for idx, bit in zip(action.attrs, action.polarities):
+    logps[2 + K] = np.log(p_count[action.count])
+    scores[2 + K].logits_count = -p_count / T
+    scores[2 + K].logits_count[action.count] += 1.0 / T
+    z, drawn = policy.logits_attr / T, np.zeros(policy.n_attrs, dtype=bool)
+    for t, (idx, bit) in enumerate(zip(action.attrs, action.polarities)):
         p_pro = _sigmoid(policy.logits_polarity[idx] / T)
-        logp += np.log(p_pro if bit else 1.0 - p_pro)
-        score.logits_polarity[idx] += (bit - p_pro) / T
-    p_true = _sigmoid(policy.logits_answer[query_index] / T)
-    logp += np.log(p_true if action.answer else 1.0 - p_true)
-    score.logits_answer[query_index] = (action.answer - p_true) / T
-    return float(logp), score
+        logps[2 + t] = np.log(p_pro if bit else 1.0 - p_pro)
+        scores[2 + t].logits_polarity[idx] = (bit - p_pro) / T
+        live = np.where(drawn, -np.inf, z)
+        p = np.exp(live - live.max())
+        p /= p.sum()
+        logps[3 + K + t] = np.log(p[idx])
+        scores[3 + K + t].logits_attr = -p / T
+        scores[3 + K + t].logits_attr[idx] += 1.0 / T
+        drawn[idx] = True
+    return logps, scores
+
+
+def _weighted(policy, scores, weights):
+    total = policy.zeros_like()
+    for score, weight in zip(scores, weights):
+        total.add_scaled(score, float(weight))
+    return total
+
+
+def _reference_logp(policy, action, query_index, T):
+    """The sums over the factors of :func:`_reference_factors`:
+    (logp, score)."""
+    logps, scores = _reference_factors(policy, action, query_index, T)
+    return float(logps.sum()), _weighted(policy, scores, np.ones(len(logps)))
 
 
 _SCORE_FIELDS = ("logit_format", "logits_count", "logits_attr",
@@ -390,75 +418,146 @@ def _assert_score_close(got, want):
                                                    rel=1e-12)
 
 
-def _reference_sample(policy, rng, query_index, T):
-    """Per-draw sampler on the same RNG stream as ``sample_response``: bits
-    by ``rng.random()``, the count by Gumbel-max over a numpy log-softmax,
-    and each attribute as the largest perturbed logit not yet drawn, from
-    one Gumbel vector; returns the action, and its (logp, score) from
-    :func:`_reference_logp`."""
-    format_ok = bool(rng.random() < _sigmoid(policy.logit_format / T))
-    omit = None
-    if not format_ok:
-        omit = ("think", "name", "answer")[int(rng.integers(3))]
+def _reference_group(policy, rng, size, query_index, T):
+    """Per-draw sampler on the same four RNG calls as the group sampler:
+    one uniform per bit (format, answer, then the polarity of each draw
+    slot), one omit choice, and Gumbel noise for the count and for the
+    attributes of each response. Each bit compares its uniform with its own
+    sigmoid, the count is the largest perturbed numpy log-softmax entry,
+    and each attribute the largest perturbed logit not yet drawn. Returns
+    (action, logp, score) per response, from :func:`_reference_logp`."""
+    u = rng.random((size, 2 + policy.max_count))
+    omit = rng.integers(3, size=size)
+    count_noise = rng.gumbel(size=(size, policy.max_count + 1))
+    attr_noise = rng.gumbel(size=(size, policy.n_attrs))
     z = policy.logits_count / T
     count_logp = z - (z.max() + np.log(np.exp(z - z.max()).sum()))
-    count = int((count_logp + rng.gumbel(size=z.size)).argmax())
-    perturbed = policy.logits_attr / T + rng.gumbel(size=policy.n_attrs)
-    attrs = []
-    for _ in range(count):
-        idx = int(perturbed.argmax())
-        perturbed[idx] = -np.inf
-        attrs.append(idx)
-    polarities = tuple(int(rng.random() < _sigmoid(policy.logits_polarity[i]
-                                                   / T)) for i in attrs)
-    answer = bool(rng.random()
-                  < _sigmoid(policy.logits_answer[query_index] / T))
-    action = Action(format_ok, omit, count, tuple(attrs), polarities, answer)
-    return (action, *_reference_logp(policy, action, query_index, T))
+    out = []
+    for i in range(size):
+        format_ok = bool(u[i, 0] < _sigmoid(policy.logit_format / T))
+        count = int((count_logp + count_noise[i]).argmax())
+        perturbed = policy.logits_attr / T + attr_noise[i]
+        attrs = []
+        for _ in range(count):
+            idx = int(perturbed.argmax())
+            perturbed[idx] = -np.inf
+            attrs.append(idx)
+        polarities = tuple(
+            int(u[i, 2 + t] < _sigmoid(policy.logits_polarity[idx] / T))
+            for t, idx in enumerate(attrs))
+        answer = bool(u[i, 1]
+                      < _sigmoid(policy.logits_answer[query_index] / T))
+        action = Action(format_ok,
+                        None if format_ok else ("think", "name",
+                                                "answer")[int(omit[i])],
+                        count, tuple(attrs), polarities, answer)
+        out.append((action, *_reference_logp(policy, action, query_index, T)))
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sampling_is_bit_identical_to_per_draw_sampler(seed):
     # the actions and the RNG stream are bit-identical; logp and score are
-    # summed in another order, so they agree to 1e-12 relative
+    # summed in another order, so they agree to 1e-12 relative. Odd rounds
+    # draw one response through sample_response, even rounds a group.
     rng = np.random.default_rng(100 + seed)
     policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=3)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     counts = set()
     for i in range(60):
-        qid, T = i % 3, (0.6, 1.3)[i % 2]
-        out = sample_response(policy, _prompt(), ours, qid, T)
-        action, logp, score = _reference_sample(policy, theirs, qid, T)
-        assert out.action == action
-        assert out.logp == pytest.approx(logp, rel=1e-12)
-        _assert_score_close(out.score, score)
-        again, again_score = action_logp(policy, out.action, qid, T)
-        assert again == pytest.approx(logp, rel=1e-12)
-        _assert_score_close(again_score, score)
-        counts.add(out.action.count)
-    assert ours.random() == theirs.random()
+        qid, T = i % 3, (0.6, 1.3)[i // 2 % 2]
+        if i % 2:
+            out = sample_response(policy, _prompt(), ours, qid, T)
+            got = [(out.action, out.logp, out.score)]
+        else:
+            table = _Table(policy, T)
+            group = _draw(table, ours, 2 + i % 7, qid)
+            logp = _factor_logp(table, group)
+            got = []
+            for row, action in enumerate(_actions(group)):
+                coeff, score = np.zeros_like(logp), policy.zeros_like()
+                coeff[row] = 1.0
+                _add_score(table, group, coeff, score)
+                got.append((action, logp[row].sum(), score))
+        want = _reference_group(policy, theirs, len(got), qid, T)
+        for (action, logp, score), (want_action, want_logp, want_score) \
+                in zip(got, want):
+            assert action == want_action
+            assert logp == pytest.approx(want_logp, rel=1e-12)
+            _assert_score_close(score, want_score)
+            again, again_score = action_logp(policy, action, qid, T)
+            assert again == pytest.approx(want_logp, rel=1e-12)
+            _assert_score_close(again_score, want_score)
+            counts.add(action.count)
+        assert ours.bit_generator.state == theirs.bit_generator.state
     assert len(counts) >= 5
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=8),
+    n_attrs=st.integers(min_value=1, max_value=14),
+    T=st.floats(min_value=0.3, max_value=2.0),
+    data=st.data(),
+)
+def test_group_gradient_is_the_weighted_sum_of_scores(seed, size, n_attrs, T,
+                                                      data):
+    max_count = data.draw(st.integers(min_value=0, max_value=n_attrs))
+    rng = np.random.default_rng(seed)
+    policy = _random_policy(rng, n_attrs, max_count, n_queries=2)
+    table = _Table(policy, T)
+    group = _draw(table, rng, size, 1)
+    coeff = rng.normal(size=(size, 2 * max_count + 3))
+    per_row = np.repeat(coeff[:, :1], coeff.shape[1], axis=1)
+    got, got_rows = policy.zeros_like(), policy.zeros_like()
+    _add_score(table, group, coeff, got)
+    _add_score(table, group, per_row, got_rows)
+    factors, rows = [], []
+    for i, action in enumerate(_actions(group)):
+        _, scores = _reference_factors(policy, action, 1, T)
+        factors.append(_weighted(policy, scores, coeff[i]))
+        rows.append(action_logp(policy, action, 1, T)[1])
+    _assert_score_close(got, _weighted(policy, factors, np.ones(size)))
+    _assert_score_close(got_rows, _weighted(policy, rows, per_row[:, 0]))
+
+
 def test_ordered_draws_follow_plackett_luce_probabilities():
-    # every ordered draw of at most 2 of 4 attributes: 1 + 4 + 12 outcomes
+    # every ordered draw of at most 2 of 4 attributes: 1 + 4 + 12 outcomes,
+    # drawn as one group
     policy = PolicyParams.zeros(n_attrs=4, max_count=2)
     policy.logits_count[:] = [0.3, -0.2, 0.5]
     policy.logits_attr[:] = [0.8, 0.2, -0.3, -0.9]
     table = _Table(policy, 0.6)
     n = 40_000
-    draw = _sampler(np.random.default_rng(31))
-    seen = Counter(_walk(table, table, 0, draw)[0].attrs for _ in range(n))
+    group = _draw(table, np.random.default_rng(31), n, 0)
+    seen = Counter(action.attrs for action in _actions(group))
     outcomes = [attrs for count in range(3)
                 for attrs in itertools.permutations(range(4), count)]
     assert set(seen) <= set(outcomes)
-    expected = n * np.exp([table.count_logp[len(attrs)]
-                           + _plackett_luce(table.attr_z, attrs)[0]
-                           for attrs in outcomes])
+    given = _given(table, 0, [Action(True, None, len(attrs), attrs,
+                                     (0,) * len(attrs), True)
+                              for attrs in outcomes])
+    # the count factor and the two draw slots
+    expected = n * np.exp(_factor_logp(table, given)[:, 4:].sum(1))
     assert expected.sum() == pytest.approx(n)
     observed = np.array([seen[attrs] for attrs in outcomes])
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < 39.25, chi2  # P(chi2 > 39.25) = 0.001 at 16 dof
+
+
+def _plackett_luce(z, attrs):
+    """The attribute draws' log-prob and the sum of their softmaxes, from
+    the group scorer: a policy with logits ``z`` at T = 1, one slot per
+    attribute."""
+    policy = PolicyParams.zeros(n_attrs=z.size, max_count=z.size)
+    policy.logits_attr[:] = z
+    table = _Table(policy, 1.0)
+    group = _given(table, 0, [Action(True, None, len(attrs), attrs,
+                                     (0,) * len(attrs), True)])
+    logp = _factor_logp(table, group)[0, 3 + z.size:].sum()
+    live = group.mask[:, 3 + z.size:].astype(float)
+    return float(logp), _draw_softmax(table, group, live)
 
 
 @settings(max_examples=300, deadline=None)
@@ -505,14 +604,19 @@ def test_step_tables_match_action_logp():
     reference = _random_policy(rng, n_attrs=14, max_count=12, n_queries=2)
     T = 0.6
     current, frozen = _Table(policy, T), _Table(reference, T)
-    draw = _sampler(np.random.default_rng(22))
-    for i in range(200):
-        qid = i % 2
-        action, logp, logp_ref, score = _walk(current, frozen, qid, draw)
-        again, again_score = action_logp(policy, action, qid, T)
-        assert logp == again
-        assert _score_bytes(score) == _score_bytes(again_score)
-        assert logp_ref == action_logp(reference, action, qid, T)[0]
+    draws = np.random.default_rng(22)
+    for qid in (0, 1) * 25:
+        group = _draw(current, draws, 4, qid)
+        logp = _factor_logp(current, group).sum(1)
+        logp_ref = _factor_logp(frozen, group).sum(1)
+        for row, action in enumerate(_actions(group)):
+            coeff, score = np.zeros((4, 27)), policy.zeros_like()
+            coeff[row] = 1.0
+            _add_score(current, group, coeff, score)
+            again, again_score = action_logp(policy, action, qid, T)
+            assert logp[row] == again
+            assert _score_bytes(score) == _score_bytes(again_score)
+            assert logp_ref[row] == action_logp(reference, action, qid, T)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,29 +763,25 @@ def test_grpo_builds_a_reference_table_per_step(tiny_dataset, monkeypatch):
 
 
 def test_dapo_reads_no_reference_table(tiny_dataset, monkeypatch):
-    built, Counted = _counting_tables(monkeypatch)
+    built, _ = _counting_tables(monkeypatch)
     cfg = TrainConfig(steps=3, seed=7, algorithm="dapo")
     curves, policy = train(cfg, dataset=tiny_dataset)
     assert len(built) == 3
 
-    # the same run with a separate table of the initial policy as the
-    # reference: its log-probs differ after step 1, and nothing reads them
-    built.clear()
-    initial = PolicyParams.zeros(n_queries=len(tiny_dataset))
-    references = {}
-    walk = policysim._walk
+    # the same run with every reference log-prob replaced by NaN: reading
+    # one would turn the curves or the policy into NaN, and it makes GRPO
+    # fail at once
+    class Poisoned(grpo.ResponseRecord):
+        def __init__(self, text, reward_total, logp_old, logp_ref):
+            super().__init__(text, reward_total, logp_old,
+                             np.full(np.shape(logp_ref), np.nan))
 
-    def walk_with_reference(table, ref, query_index, pick):
-        assert ref is table
-        if table not in references:
-            references[table] = Counted(initial, table.T)
-        return walk(table, references[table], query_index, pick)
-
-    monkeypatch.setattr(policysim, "_walk", walk_with_reference)
-    curves_ref, policy_ref = train(cfg, dataset=tiny_dataset)
-    assert len(built) == 6
-    assert curves_ref == curves
-    assert _score_bytes(policy_ref) == _score_bytes(policy)
+    monkeypatch.setattr(grpo, "ResponseRecord", Poisoned)
+    curves_nan, policy_nan = train(cfg, dataset=tiny_dataset)
+    assert curves_nan == curves
+    assert _score_bytes(policy_nan) == _score_bytes(policy)
+    with pytest.raises(ValueError):
+        train(TrainConfig(steps=3, seed=7), dataset=tiny_dataset)
 
 
 def test_export_curves_roundtrip(tmp_path, tiny_dataset):
