@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three sha256 hashes that pin the package's outputs.
+"""Print five sha256 hashes that pin the package's outputs.
 
 1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
    studies, plus three seeded ``write_smiles`` rewrites of each. Per
@@ -11,6 +11,10 @@
 2. ``curves-grpo`` and ``curves-dapo``: the default-seed, 40-step
    ``train-sim`` curves of each algorithm, written as ``export_curves``
    writes them, so a run shows which algorithm's curves changed.
+3. ``policy-grpo`` and ``policy-dapo``: the final ``PolicyParams`` of
+   the same runs, as the raw float64 bytes of each field. The curves are
+   printed as decimal text and averaged over a step, so they can hide a
+   drift of a few ulps in the update; these lines do not.
 
 The dump reads the molecule only through its public attributes, so two
 versions of the package that store a molecule differently still hash the
@@ -42,6 +46,9 @@ from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles  # noqa:
 
 REWRITES = 3
 CURVE_STEPS = 40
+ALGORITHMS = ("grpo", "dapo")
+POLICY_FIELDS = ("logit_format", "logits_count", "logits_attr",
+                 "logits_polarity", "logits_answer")
 
 
 def bundled_smiles() -> list[str]:
@@ -91,19 +98,27 @@ def molecules_hash() -> str:
     return digest.hexdigest()
 
 
-def curves_hash(algorithm: str) -> str:
+def train_hashes(algorithm: str) -> tuple[str, str]:
+    """The hashes of one run's curves and of its final policy."""
     config = policysim.TrainConfig(steps=CURVE_STEPS, algorithm=algorithm,
                                    dataset=str(data_path("toy_train.csv")))
-    curves, _policy = policysim.train(config)
+    curves, policy = policysim.train(config)
     out = io.StringIO()
     policysim.export_curves(curves, out)
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256()
+    for name in POLICY_FIELDS:
+        digest.update(np.asarray(getattr(policy, name), dtype=float).tobytes())
+    return (hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            digest.hexdigest())
 
 
 def main() -> int:
     print(f"molecules {molecules_hash()}")
-    for algorithm in ("grpo", "dapo"):
-        print(f"curves-{algorithm} {curves_hash(algorithm)}")
+    runs = {algorithm: train_hashes(algorithm) for algorithm in ALGORITHMS}
+    for algorithm in ALGORITHMS:
+        print(f"curves-{algorithm} {runs[algorithm][0]}")
+    for algorithm in ALGORITHMS:
+        print(f"policy-{algorithm} {runs[algorithm][1]}")
     return 0
 
 

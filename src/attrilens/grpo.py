@@ -14,6 +14,12 @@ a language model's tokens. The importance ratio and the clipped surrogate
 use each row's sum; the KL penalty is applied per factor and summed, as
 GRPO applies it per token (Shao et al. 2024, arXiv 2402.03300). A 1-D
 array of sequence log-probabilities is a group of one-factor responses.
+
+The math works along leading axes, one group per leading index: rewards
+and advantages are ``(..., G)``, log-probabilities ``(..., G, F)``. The
+:class:`TrajectoryGroup` functions (:func:`fill_advantages`,
+:func:`grpo_objective`, :func:`grpo_gradient`, :func:`dapo_filter`) are
+its one-group case.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ __all__ = [
     "ResponseRecord",
     "TrajectoryGroup",
     "compute_advantages",
+    "has_signal",
     "fill_advantages",
     "kl_estimate",
     "grpo_objective",
     "grpo_gradient",
+    "group_objectives",
+    "group_gradients",
     "dapo_filter",
 ]
 
@@ -115,32 +124,37 @@ class TrajectoryGroup:
         return np.array([r.logp_ref for r in self.responses], dtype=float)
 
 
-def _is_degenerate(rewards: np.ndarray) -> bool:
-    """A group carries no ranking signal iff all its rewards are equal."""
-    return bool(rewards.max() == rewards.min())
+def has_signal(rewards) -> np.ndarray:
+    """Per group along the last axis: whether its rewards rank its
+    responses, that is, are not all equal."""
+    r = np.asarray(rewards, dtype=float)
+    return r.max(-1) != r.min(-1)
 
 
 def compute_advantages(rewards) -> np.ndarray:
-    """Normalize group rewards to zero-mean, unit-std advantages.
+    """Normalize each group's rewards, along the last axis, to zero-mean,
+    unit-std advantages.
 
     Uses the population standard deviation (``ddof=0``), so two-element
     groups normalize exactly to [-1, 1]. A degenerate group's advantages
-    are all zero rather than a division blow-up.
+    are all zero rather than a division blow-up. A last axis shorter than
+    2 raises :class:`GroupTooSmall`.
     """
     r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or r.size < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise GroupTooSmall(
             f"advantage normalization needs >= 2 rewards, got shape {r.shape}"
         )
-    if _is_degenerate(r):
-        return np.zeros_like(r)
+    signal = has_signal(r)[..., None]
     # Scaling by a power of two is exact, so it changes no rounding; it
     # only keeps the squares of tiny spreads from underflowing to 0.
-    r = np.ldexp(r, -np.frexp(np.abs(r).max())[1])
-    # Shifting by r.min() is exact within a factor of two (Sterbenz) and
-    # keeps the rounded mean off the rewards: [4, 4 - ulp] -> [1, -1].
-    r = r - r.min()
-    return (r - r.mean()) / r.std()
+    r = np.ldexp(r, -np.frexp(np.abs(r).max(-1, keepdims=True))[1])
+    # Shifting by the minimum is exact within a factor of two (Sterbenz)
+    # and keeps the rounded mean off the rewards: [4, 4 - ulp] -> [1, -1].
+    r = r - r.min(-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # 0 / 0 in degenerate groups
+        adv = (r - r.mean(-1, keepdims=True)) / r.std(-1, keepdims=True)
+    return np.where(signal, adv, 0.0)
 
 
 def fill_advantages(group: TrajectoryGroup) -> np.ndarray:
@@ -177,49 +191,50 @@ def kl_estimate(logp_theta, logp_ref):
 
 
 def _surrogate_terms(
-    group: TrajectoryGroup, logp_new, cfg: OptimConfig
+    advantages, logp_new, logp_old, logp_ref, cfg: OptimConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shared plumbing: (advantages, rho, surrogate, u); ``rho`` and the
     surrogate per response, ``u`` per factor."""
-    if group.advantages is None:
-        raise ValueError(
-            "group.advantages not computed; call fill_advantages first"
-        )
-    adv = np.asarray(group.advantages, dtype=float)
+    adv = np.asarray(advantages, dtype=float)
     new = np.asarray(logp_new, dtype=float)
-    old = group.logp_old()
-    ref = group.logp_ref()
-    if not (adv.shape == new.shape[:1] and new.shape == old.shape
-            == ref.shape):
-        raise ValueError("group arrays and logp_new must share shape")
-    rho = np.exp((new - old).reshape(adv.size, -1).sum(1))
+    old = np.asarray(logp_old, dtype=float)
+    ref = np.asarray(logp_ref, dtype=float)
+    if not (adv.ndim >= 1 and new.shape[:adv.ndim] == adv.shape
+            and new.shape == old.shape == ref.shape):
+        raise ValueError("advantages and log-probabilities must share their "
+                         "leading shape")
+    rho = np.exp((new - old).reshape(adv.shape + (-1,)).sum(-1))
     lo, hi = cfg.clip_band
     surr = np.minimum(rho * adv, np.clip(rho, lo, hi) * adv)
     u = np.exp(ref - new)
     return adv, rho, surr, u
 
 
-def grpo_objective(group: TrajectoryGroup, logp_new, cfg: OptimConfig) -> float:
-    """Mean clipped surrogate minus the KL penalty for one group.
+def group_objectives(advantages, logp_new, logp_old, logp_ref,
+                     cfg: OptimConfig) -> np.ndarray:
+    """Per group: the mean clipped surrogate minus the KL penalty.
 
     ``(1/G) sum_i [ min(rho_i*A_i, clip(rho_i)*A_i) - beta*sum_f k3_if ]``
     with ``rho_i = exp(sum_f (logp_new_if - logp_old_if))`` and ``k3_if``
-    the :func:`kl_estimate` of factor ``f``. Under ``dapo`` the clip band
-    is asymmetric and beta is zero.
+    the :func:`kl_estimate` of factor ``f``. ``advantages`` is ``(...,
+    G)``, the log-probabilities ``(..., G, F)`` or ``(..., G)``, and the
+    result has the leading shape ``(...)``. Under ``dapo`` the clip band is
+    asymmetric and beta is zero.
     """
-    adv, _rho, surr, _u = _surrogate_terms(group, logp_new, cfg)
+    adv, _rho, surr, _u = _surrogate_terms(advantages, logp_new, logp_old,
+                                           logp_ref, cfg)
     beta = cfg.effective_kl_beta
-    total = surr.sum()
+    total = surr.sum(-1)
     if beta != 0.0:
-        kl = kl_estimate(np.asarray(logp_new, dtype=float), group.logp_ref())
-        total -= beta * np.sum(kl)
-    return float(total / adv.size)
+        kl = kl_estimate(logp_new, logp_ref)
+        total = total - beta * kl.reshape(total.shape + (-1,)).sum(-1)
+    return total / adv.shape[-1]
 
 
-def grpo_gradient(
-    group: TrajectoryGroup, logp_new, cfg: OptimConfig
-) -> np.ndarray:
-    """Analytic gradient of :func:`grpo_objective` w.r.t. ``logp_new``.
+def group_gradients(advantages, logp_new, logp_old, logp_ref,
+                    cfg: OptimConfig) -> np.ndarray:
+    """Analytic gradient of :func:`group_objectives` w.r.t. ``logp_new``,
+    in its shape.
 
     Per factor: ``(1/G) * [A_i * rho_i * active_i - beta * (1 - u_if)]``
     where ``active_i`` is 1 exactly when the unclipped branch of the min
@@ -228,17 +243,43 @@ def grpo_gradient(
     ``u_if = exp(logp_ref_if - logp_new_if)`` from the KL term. At a clip
     boundary the unclipped subgradient is chosen.
     """
-    adv, rho, _surr, u = _surrogate_terms(group, logp_new, cfg)
+    adv, rho, _surr, u = _surrogate_terms(advantages, logp_new, logp_old,
+                                          logp_ref, cfg)
     lo, hi = cfg.clip_band
     active = np.where(adv >= 0.0, rho <= hi, rho >= lo)
     grad = np.broadcast_to((adv * rho * active).reshape(
-        adv.shape + (1,) * (u.ndim - 1)), u.shape)
+        adv.shape + (1,) * (u.ndim - adv.ndim)), u.shape)
     beta = cfg.effective_kl_beta
     if beta != 0.0:
         # d/dlogp_new of (u - log u - 1) is (1 - u); the objective
         # subtracts beta times it.
         grad = grad - beta * (1.0 - u)
-    return grad / adv.size
+    return grad / adv.shape[-1]
+
+
+def _group_terms(group: TrajectoryGroup):
+    """A group's (advantages, logp_old, logp_ref) arrays."""
+    if group.advantages is None:
+        raise ValueError(
+            "group.advantages not computed; call fill_advantages first"
+        )
+    return group.advantages, group.logp_old(), group.logp_ref()
+
+
+def grpo_objective(group: TrajectoryGroup, logp_new, cfg: OptimConfig) -> float:
+    """:func:`group_objectives` of one group, whose advantages
+    :func:`fill_advantages` has stored."""
+    adv, old, ref = _group_terms(group)
+    return float(group_objectives(adv, logp_new, old, ref, cfg))
+
+
+def grpo_gradient(
+    group: TrajectoryGroup, logp_new, cfg: OptimConfig
+) -> np.ndarray:
+    """:func:`group_gradients` of one group, whose advantages
+    :func:`fill_advantages` has stored."""
+    adv, old, ref = _group_terms(group)
+    return group_gradients(adv, logp_new, old, ref, cfg)
 
 
 def dapo_filter(groups: list[TrajectoryGroup]) -> list[TrajectoryGroup]:
@@ -250,4 +291,4 @@ def dapo_filter(groups: list[TrajectoryGroup]) -> list[TrajectoryGroup]:
     advantages through the update.
     """
     return [g for g in groups
-            if len(g.responses) >= 2 and not _is_degenerate(g.rewards())]
+            if len(g.responses) >= 2 and has_signal(g.rewards())]

@@ -9,8 +9,9 @@ training exercises the production parser and rewards end to end. The point
 is to reproduce which reward components are learned quickly and which ones
 slowly -- not model quality.
 
-A query's G responses are drawn, scored and differentiated together, in
-array operations: bits by comparing uniforms with their probabilities,
+A training step's responses, G for each query, are drawn, scored and
+differentiated together, one row per response, in array operations: bits
+by comparing uniforms with their probabilities,
 counts by Gumbel-max, and the ordered attributes by Gumbel-top-k, the
 ``count`` largest entries of one Gumbel-perturbed logit vector, which
 draws ``count`` sequential softmax draws without replacement (Kool, van
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,7 +231,8 @@ class _Table:
 
 
 class _Group:
-    """The G actions drawn for one query, as arrays.
+    """Actions as arrays, one row per action; rows of several queries can
+    share a group, and ``group[rows]`` is the group of some of its rows.
 
     Per row: ``count``; ``order``, the attributes in draw order and then
     the undrawn ones in index order; ``omit``, the tag pair dropped if the
@@ -242,35 +245,47 @@ class _Group:
 
     __slots__ = ("omit", "count", "order", "bits", "bit_at", "mask")
 
-    def __init__(self, table: _Table, query_index: int, omit, count, order):
+    def __init__(self, table: _Table, queries, omit, count, order):
+        """``queries`` is the query of each row, or one for all rows."""
         K, n = table.max_count, table.n_attrs
-        if not 0 <= query_index < table.p.size - 1 - n:
-            raise ValueError(f"no answer logit for query {query_index}")
+        queries = np.asarray(queries)
+        outside = queries[(queries < 0) | (queries >= table.p.size - 1 - n)]
+        if outside.size:
+            raise ValueError(f"no answer logit for query {outside[0]}")
         self.omit, self.count, self.order = omit, count, order
         self.bit_at = np.empty((count.size, 2 + K), dtype=np.intp)
         self.bit_at[:, 0] = 0
-        self.bit_at[:, 1] = 1 + n + query_index
+        self.bit_at[:, 1] = 1 + n + queries
         self.bit_at[:, 2:] = 1 + order[:, :K]
         self.mask = table.slot < count[:, None]
 
+    def __getitem__(self, rows) -> "_Group":
+        part = object.__new__(_Group)
+        for name in self.__slots__:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
-def _draw(table: _Table, rng: np.random.Generator, size: int,
-          query_index: int) -> _Group:
-    """Draw ``size`` actions in four calls on ``rng``: uniforms for the
-    bits, the omitted tag pairs, and Gumbel noise for the counts (Gumbel-max)
-    and for the orders (Gumbel-top-k: a row's first ``count`` entries).
-    The undrawn attributes follow in index order, as in :func:`_given`, so
-    a drawn action scores bit for bit as :func:`action_logp` scores it."""
-    n = table.n_attrs
-    u = rng.random((size, 2 + table.max_count))
-    omit = rng.integers(len(_TAG_NAMES), size=size)
-    count = (table.count_logp
-             + rng.gumbel(size=(size, table.count_logp.size))).argmax(1)
-    order = (table.attr_z + rng.gumbel(size=(size, n))).argsort(1)[:, ::-1]
+
+def _draw(table: _Table, rngs, size: int, queries) -> _Group:
+    """Draw ``size`` actions for each query of ``queries`` from its own
+    generator, the one at the same place in ``rngs``; the rows go query by
+    query. Each generator gets four calls: uniforms for the bits, the
+    omitted tag pairs, and Gumbel noise for the counts (Gumbel-max) and for
+    the orders (Gumbel-top-k: a row's first ``count`` entries), so a
+    query's actions do not depend on the other queries. The undrawn
+    attributes follow in index order, as in :func:`_given`, so a drawn
+    action scores bit for bit as :func:`action_logp` scores it."""
+    n, K = table.n_attrs, table.max_count
+    u, omit, count_noise, attr_noise = map(np.concatenate, zip(*[
+        (rng.random((size, 2 + K)), rng.integers(len(_TAG_NAMES), size=size),
+         rng.gumbel(size=(size, K + 1)), rng.gumbel(size=(size, n)))
+        for rng in rngs]))
+    count = (table.count_logp + count_noise).argmax(1)
+    order = (table.attr_z + attr_noise).argsort(1)[:, ::-1]
     slot = np.arange(n)
     order = np.take_along_axis(order, np.where(
         slot < count[:, None], slot, n + order).argsort(1), 1)
-    group = _Group(table, query_index, omit, count, order)
+    group = _Group(table, np.repeat(queries, size), omit, count, order)
     group.bits = u < table.p[group.bit_at]
     return group
 
@@ -301,9 +316,10 @@ def _given(table: _Table, query_index: int, actions) -> _Group:
     return group
 
 
-def _actions(group: _Group) -> list[Action]:
+def _actions(group: _Group) -> Iterator[Action]:
+    """The group's actions, one at a time."""
     K = group.bit_at.shape[1] - 2
-    return [
+    return (
         Action(ok, None if ok else _TAG_NAMES[omit], count,
                tuple(order[:count]), tuple(pols[:count]), answer)
         for ok, answer, pols, omit, count, order in zip(
@@ -311,7 +327,7 @@ def _actions(group: _Group) -> list[Action]:
             group.bits[:, 2:].astype(int).tolist(), group.omit.tolist(),
             group.count.tolist(), group.order[:, :K].tolist(),
         )
-    ]
+    )
 
 
 def _live_mass(table: _Table, group: _Group) -> tuple[np.ndarray, np.ndarray]:
@@ -322,17 +338,17 @@ def _live_mass(table: _Table, group: _Group) -> tuple[np.ndarray, np.ndarray]:
     return a, np.logaddexp.accumulate(a[:, ::-1], axis=1)[:, ::-1]
 
 
-def _factor_logp(table: _Table, group: _Group) -> np.ndarray:
-    """The ``(G, 2 * max_count + 3)`` per-factor log-probabilities of the
-    group's actions under ``table``, 0 where a row has no factor. Draw
+def _factor_logp(table: _Table, group: _Group, live) -> np.ndarray:
+    """The ``(rows, 2 * max_count + 3)`` per-factor log-probabilities of
+    the group's actions under ``table``, given its ``live =``
+    :func:`_live_mass`, 0 where a row has no factor. Draw
     ``t`` has the Plackett-Luce form ``a[t] - log sum_{s >= t} exp(a[s])``:
     ``-inf`` for an attribute with ``z = -inf``, and ``ValueError`` when no
     live mass is left.
     """
     K = table.max_count
-    a, mass = _live_mass(table, group)
-    live = group.mask[:, 3 + K:]
-    if (mass[:, :K][live] == -np.inf).any():
+    a, mass = live
+    if (mass[:, :K][group.mask[:, 3 + K:]] == -np.inf).any():
         raise ValueError("no attribute with positive probability is left "
                          "to draw")
     at = group.bit_at
@@ -346,29 +362,32 @@ def _factor_logp(table: _Table, group: _Group) -> np.ndarray:
     return np.where(group.mask, logp, 0.0)
 
 
-def _draw_softmax(table: _Table, group: _Group, weight) -> np.ndarray:
+def _draw_softmax(table: _Table, group: _Group, live, weight) -> np.ndarray:
     """``sum_{i,t} weight[i, t] * p_it`` over the rows and draw slots, where
     ``p_it`` is the softmax over the attributes live at row ``i``'s draw
-    ``t``; a slot past a row's count adds nothing."""
+    ``t``, from ``live =`` :func:`_live_mass`; a slot past a row's count
+    adds nothing."""
     K, n = table.max_count, table.n_attrs
-    a, mass = _live_mass(table, group)
-    live = (np.arange(n) >= np.arange(K)[:, None]) & group.mask[:, 3 + K:,
-                                                                None]
+    a, mass = live
+    undrawn = (np.arange(n) >= np.arange(K)[:, None]) & group.mask[:, 3 + K:,
+                                                                   None]
     with np.errstate(invalid="ignore"):  # -inf - -inf in dead slots
-        p = np.exp(np.where(live, a[:, None, :] - mass[:, :K, None], -np.inf))
+        p = np.exp(np.where(undrawn, a[:, None, :] - mass[:, :K, None],
+                            -np.inf))
     return np.bincount(group.order.ravel(),
                        np.einsum("it,its->is", weight, p).ravel(),
                        minlength=n)
 
 
-def _add_score(table: _Table, group: _Group, coeff,
+def _add_score(table: _Table, group: _Group, live, coeff,
                out: PolicyParams) -> None:
     """``out += sum_{i,f} coeff[i, f] * score_if``, where ``score_if`` is the
     gradient of factor ``f``'s log-probability of action ``i`` with respect
     to every logit, in the standard forms at temperature ``T``: ``(b -
     p)/T`` for a Bernoulli bit and ``(onehot - p)/T`` for each categorical
     draw, where each attribute draw's ``p`` is the softmax over the
-    attributes not yet drawn. The uniform omit choice has no gradient."""
+    attributes not yet drawn. ``live`` is the group's :func:`_live_mass`
+    under ``table``. The uniform omit choice has no gradient."""
     T, K, n = table.T, table.max_count, table.n_attrs
     c = np.where(group.mask, coeff, 0.0)
     at = group.bit_at
@@ -383,15 +402,16 @@ def _add_score(table: _Table, group: _Group, coeff,
                          - c_count.sum() * np.exp(table.count_logp)) / T
     out.logits_attr += (np.bincount(group.order[:, :K].ravel(),
                                     c_draw.ravel(), minlength=n)
-                        - _draw_softmax(table, group, c_draw)) / T
+                        - _draw_softmax(table, group, live, c_draw)) / T
 
 
 def _logp_and_score(policy: PolicyParams, table: _Table,
                     group: _Group) -> tuple[float, PolicyParams]:
     """Log-probability and score of a group of one."""
-    logp = _factor_logp(table, group)
+    live = _live_mass(table, group)
+    logp = _factor_logp(table, group, live)
     score = policy.zeros_like()
-    _add_score(table, group, np.ones_like(logp), score)
+    _add_score(table, group, live, np.ones_like(logp), score)
     return float(logp.sum()), score
 
 
@@ -443,7 +463,7 @@ def sample_response(
         raise ConfigError("the simulator supports classification prompts only")
     vocab = _vocabulary(policy)
     table = _Table(policy, temperature)
-    group = _draw(table, rng, 1, query_index)
+    group = _draw(table, [rng], 1, [query_index])
     (action,) = _actions(group)
     logp, score = _logp_and_score(policy, table, group)
     return SampledResponse(_render_action(action, vocab), logp, action, score)
@@ -574,6 +594,64 @@ class TrainingCurves:
         self.objective.append(objective)
 
 
+def _train_step(config: TrainConfig, dataset: list[SimQuery],
+                table: RangeTable, vocab: tuple[str, ...],
+                policy: PolicyParams, reference: PolicyParams,
+                step: int) -> tuple[float, ...]:
+    """One step of :func:`train`, one batch of ``Q * G`` rows: it updates
+    ``policy`` in place and returns the step's means of the five reward
+    components and of the group objective."""
+    cfg, T = config.optim(), config.temperature
+    Q, G = len(dataset), config.group_size
+    current = _Table(policy, T)
+    # only the KL term reads the reference log-probs
+    frozen = _Table(reference, T) if cfg.effective_kl_beta else current
+    drawn = _draw(current, (np.random.default_rng(np.random.SeedSequence(
+        [config.seed, step, qid])) for qid in range(Q)), G, range(Q))
+
+    rewards = np.empty((Q * G, 5))  # format, correct, count, rational, total
+    for row, action in enumerate(_actions(drawn)):
+        query = dataset[row // G]
+        parsed = parse_response(_render_action(action, vocab),
+                                task=query.prompt.task)
+        bd = total_reward(
+            parsed,
+            query.molecule,
+            query.label,
+            query.prompt.target,
+            table,
+            count_bounds=config.count_bounds,
+            task=query.prompt.task,
+        )
+        rewards[row] = bd.format, bd.correct, bd.count, bd.rational, bd.total
+    # each column from 0.0, row by row in sample order: numpy sums an
+    # outer axis row by row, pairwise only along the inner one
+    sums = rewards.sum(0, initial=0.0)
+
+    totals = rewards[:, 4].reshape(Q, G)
+    adv = grpo.compute_advantages(totals)
+    live = _live_mass(current, drawn)
+    logp = _factor_logp(current, drawn, live).reshape(Q, G, -1)
+    logp_ref = logp if frozen is current else _factor_logp(
+        frozen, drawn, _live_mass(frozen, drawn)).reshape(Q, G, -1)
+    # on-policy single update: logp_new is logp_old
+    objectives = grpo.group_objectives(adv, logp, logp, logp_ref, cfg)
+    coeff = grpo.group_gradients(adv, logp, logp, logp_ref, cfg)
+    kept = range(Q)
+    if config.algorithm == "dapo":
+        kept = np.flatnonzero(grpo.has_signal(totals)).tolist()
+    objective = 0.0
+    grad_acc = policy.zeros_like()
+    for q in kept:
+        rows = slice(q * G, (q + 1) * G)
+        objective += objectives[q]
+        _add_score(current, drawn[rows], (live[0][rows], live[1][rows]),
+                   coeff[q], grad_acc)
+    if kept:
+        policy.add_scaled(grad_acc, config.learning_rate / len(kept))
+    return (*(sums / (Q * G)), objective / len(kept) if kept else 0.0)
+
+
 def train(
     config: TrainConfig,
     dataset: list[SimQuery] | None = None,
@@ -582,28 +660,33 @@ def train(
 ) -> tuple[TrainingCurves, PolicyParams]:
     """Run the simulator training loop; deterministic for a fixed seed.
 
-    Per step and query, ``G`` responses are sampled from an RNG stream
-    seeded by ``(seed, step, query)`` (so any parallel execution order
-    would give identical draws), scored through the real parser and reward
-    stack, normalized into group advantages, and folded into one plain
+    Per step, each query draws ``G`` responses from its own RNG stream,
+    seeded by ``(seed, step, query)``, so the draws do not depend on the
+    order of the queries. Every response is scored through the real
+    parser and reward stack, the rewards are normalized into advantages
+    within each query's group, and the groups are folded into one plain
     gradient-ascent update averaged over surviving groups. The reference
     policy for the KL pull is the initial parameter snapshot. Under
     ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
-    the policy actually emits). Each step builds one factor table for the
-    current policy and, when the objective has a KL term, one for the
-    reference; each group is scored per factor under both. Without a KL
-    term (``dapo``) nothing reads the reference log-probs, and the group's
-    scores under the current table stand in for them.
+    the policy actually emits).
+
+    A step is one batch of ``Q * G`` rows: the log-probabilities, the
+    advantages, the per-group objectives and the gradient coefficients
+    are each computed once over all of them, and the score is summed
+    group by group, in query order. Each step builds one factor table for
+    the current policy and, when the objective has a KL term, one for the
+    reference. Without a KL term (``dapo``) nothing reads the reference
+    log-probs, and those under the current table stand in for them.
     """
     if dataset is None:
         if config.dataset is None:
             raise ConfigError("no dataset given")
         dataset = load_sim_dataset(config.dataset)
+    if not dataset:
+        raise ConfigError("empty dataset")
     if table is None:
         table = load_range_table(config.range_table)
-    cfg = config.optim()
-    T = config.temperature
     if policy is None:
         policy = PolicyParams.zeros(n_queries=len(dataset))
     if policy.logits_answer.size != len(dataset):
@@ -615,58 +698,9 @@ def train(
     vocab = _vocabulary(policy)
     reference = policy.copy()
     curves = TrainingCurves()
-
     for step in range(1, config.steps + 1):
-        sums = np.zeros(6)  # format, correct, count, rational, total, obj
-        n_samples = 0
-        n_groups_kept = 0
-        grad_acc = policy.zeros_like()
-        current = _Table(policy, T)
-        # only the KL term reads the reference log-probs
-        frozen = _Table(reference, T) if cfg.effective_kl_beta else current
-        for qid, query in enumerate(dataset):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, step, qid])
-            )
-            drawn = _draw(current, rng, config.group_size, qid)
-            logp = _factor_logp(current, drawn)
-            logp_ref = logp if frozen is current else _factor_logp(frozen,
-                                                                   drawn)
-            records = []
-            for action, lp, lp_ref in zip(_actions(drawn), logp, logp_ref):
-                text = _render_action(action, vocab)
-                parsed = parse_response(text, task=query.prompt.task)
-                bd = total_reward(
-                    parsed,
-                    query.molecule,
-                    query.label,
-                    query.prompt.target,
-                    table,
-                    count_bounds=config.count_bounds,
-                    task=query.prompt.task,
-                )
-                sums[:5] += (bd.format, bd.correct, bd.count,
-                             bd.rational, bd.total)
-                records.append(grpo.ResponseRecord(text, bd.total, lp, lp_ref))
-            n_samples += len(records)
-
-            group = grpo.TrajectoryGroup(f"q{qid}", records)
-            grpo.fill_advantages(group)
-            if config.algorithm == "dapo" and not grpo.dapo_filter([group]):
-                continue
-            logp_new = group.logp_old()  # on-policy single update
-            sums[5] += grpo.grpo_objective(group, logp_new, cfg)
-            _add_score(current, drawn,
-                       grpo.grpo_gradient(group, logp_new, cfg), grad_acc)
-            n_groups_kept += 1
-
-        if n_groups_kept:
-            policy.add_scaled(grad_acc, config.learning_rate / n_groups_kept)
-        curves.append(
-            step,
-            *(sums[:5] / n_samples),
-            sums[5] / n_groups_kept if n_groups_kept else 0.0,
-        )
+        curves.append(step, *_train_step(config, dataset, table, vocab,
+                                         policy, reference, step))
     return curves, policy
 
 

@@ -18,6 +18,9 @@ from attrilens.grpo import (
     fill_advantages,
     grpo_gradient,
     grpo_objective,
+    group_gradients,
+    group_objectives,
+    has_signal,
     kl_estimate,
 )
 
@@ -98,6 +101,12 @@ def test_single_reward_rejected():
         compute_advantages([1.0])
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (2, 0), (2, 4, 1)])
+def test_group_axis_shorter_than_two_rejected(shape):
+    with pytest.raises(GroupTooSmall):
+        compute_advantages(np.zeros(shape))
+
+
 def test_fill_advantages_stores_on_group():
     g = _group([0.0, 2.0])
     adv = fill_advantages(g)
@@ -153,6 +162,74 @@ def test_advantages_zero_mean_unit_std(rewards):
     assert abs(adv.mean()) < 1e-9
     if not np.allclose(adv, 0.0):
         assert abs(adv.std(ddof=0) - 1.0) < 1e-9
+
+
+_ULP_BELOW_4 = 3.9999999999999996
+
+
+@st.composite
+def _reward_row(draw, size):
+    """Rewards of one group: free, all equal, or one ulp apart."""
+    kind = draw(st.sampled_from(("free", "equal", "ulp")))
+    if kind == "free":
+        return draw(st.lists(st.floats(min_value=-3.0, max_value=4.0),
+                             min_size=size, max_size=size))
+    base = draw(st.floats(min_value=-3.0, max_value=4.0))
+    if kind == "equal":
+        return [base] * size
+    below = float(np.nextafter(base, -np.inf))
+    return [below if bit else base for bit in draw(
+        st.lists(st.booleans(), min_size=size, max_size=size))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewards=st.integers(min_value=2, max_value=20).flatmap(
+    lambda size: st.lists(_reward_row(size), min_size=1, max_size=6)))
+# the rewards one ulp apart whose rounded mean used to equal the larger one,
+# a subnormal spread, a degenerate group and the widest spread
+@example(rewards=[[4.0, _ULP_BELOW_4], [0.0, 5e-324], [3.0, 3.0],
+                  [-3.0, 4.0]])
+@example(rewards=[[4.0, _ULP_BELOW_4, _ULP_BELOW_4], [-3.0, -3.0, -3.0]])
+def test_batched_advantages_equal_row_by_row(rewards):
+    rewards = np.array(rewards)
+    want = np.stack([compute_advantages(row) for row in rewards])
+    assert compute_advantages(rewards).tobytes() == want.tobytes()
+    assert compute_advantages(rewards[None]).tobytes() == want.tobytes()
+    assert has_signal(rewards).tolist() == [
+        dapo_filter([_group(row)]) != [] for row in rewards]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_groups=st.integers(min_value=1, max_value=5),
+    size=st.integers(min_value=2, max_value=10),
+    n_factors=st.integers(min_value=0, max_value=6),
+    algorithm=st.sampled_from(("grpo", "dapo")),
+)
+def test_batched_objective_and_gradient_rows_equal_group_calls(
+        seed, n_groups, size, n_factors, algorithm):
+    # n_factors 0: one sequence log-prob per response
+    rng = np.random.default_rng(seed)
+    shape = (n_groups, size) + ((n_factors,) if n_factors else ())
+    rewards = rng.uniform(-3.0, 4.0, size=(n_groups, size))
+    rewards[rng.random(n_groups) < 0.3] = 1.0  # degenerate groups
+    old = rng.uniform(-2.0, -0.1, size=shape)
+    new = old + rng.uniform(-0.3, 0.3, size=shape)  # both sides of the clip
+    ref = old + rng.uniform(-0.5, 0.5, size=shape)
+    cfg = OptimConfig(algorithm=algorithm)
+    adv = compute_advantages(rewards)
+    objectives = group_objectives(adv, new, old, ref, cfg)
+    gradients = group_gradients(adv, new, old, ref, cfg)
+    assert objectives.shape == (n_groups,)
+    assert gradients.shape == shape
+    for q in range(n_groups):
+        group = _factor_group(rewards[q], old[q], ref[q])
+        fill_advantages(group)
+        assert (float(objectives[q]).hex()
+                == grpo_objective(group, new[q], cfg).hex())
+        assert (gradients[q].tobytes()
+                == grpo_gradient(group, new[q], cfg).tobytes())
 
 
 # ---------------------------------------------------------------------------

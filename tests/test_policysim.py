@@ -22,6 +22,7 @@ from attrilens.policysim import (
     _draw_softmax,
     _factor_logp,
     _given,
+    _live_mass,
     _Table,
     action_logp,
     export_curves,
@@ -30,6 +31,7 @@ from attrilens.policysim import (
     train,
 )
 from attrilens.response import CLASSIFICATION, PromptSpec, parse_response
+from attrilens.rewards import load_range_table, total_reward
 
 
 def _random_policy(rng, n_attrs=3, max_count=2, n_queries=1):
@@ -190,6 +192,19 @@ def test_action_logp_rejects_inconsistent_action(action):
     policy = PolicyParams.zeros(n_attrs=3, max_count=2)
     with pytest.raises(ValueError):
         action_logp(policy, action, 0, 0.6)
+
+
+def test_query_without_answer_logit_raises():
+    policy = PolicyParams.zeros(n_attrs=3, max_count=2, n_queries=2)
+    for query in (-1, 2):
+        with pytest.raises(ValueError, match=f"query {query}"):
+            action_logp(policy, Action(True, None, 0, (), (), True), query,
+                        0.6)
+    table = _Table(policy, 0.6)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    assert _draw(table, rngs, 2, [1, 0]).bit_at[:, 1].tolist() == [5, 5, 4, 4]
+    with pytest.raises(ValueError, match="query 2"):
+        _draw(table, rngs, 2, [0, 2])
 
 
 def test_logp_layers_accumulate():
@@ -471,13 +486,14 @@ def test_sampling_is_bit_identical_to_per_draw_sampler(seed):
             got = [(out.action, out.logp, out.score)]
         else:
             table = _Table(policy, T)
-            group = _draw(table, ours, 2 + i % 7, qid)
-            logp = _factor_logp(table, group)
+            group = _draw(table, [ours], 2 + i % 7, [qid])
+            live = _live_mass(table, group)
+            logp = _factor_logp(table, group, live)
             got = []
             for row, action in enumerate(_actions(group)):
                 coeff, score = np.zeros_like(logp), policy.zeros_like()
                 coeff[row] = 1.0
-                _add_score(table, group, coeff, score)
+                _add_score(table, group, live, coeff, score)
                 got.append((action, logp[row].sum(), score))
         want = _reference_group(policy, theirs, len(got), qid, T)
         for (action, logp, score), (want_action, want_logp, want_score) \
@@ -507,12 +523,13 @@ def test_group_gradient_is_the_weighted_sum_of_scores(seed, size, n_attrs, T,
     rng = np.random.default_rng(seed)
     policy = _random_policy(rng, n_attrs, max_count, n_queries=2)
     table = _Table(policy, T)
-    group = _draw(table, rng, size, 1)
+    group = _draw(table, [rng], size, [1])
+    live = _live_mass(table, group)
     coeff = rng.normal(size=(size, 2 * max_count + 3))
     per_row = np.repeat(coeff[:, :1], coeff.shape[1], axis=1)
     got, got_rows = policy.zeros_like(), policy.zeros_like()
-    _add_score(table, group, coeff, got)
-    _add_score(table, group, per_row, got_rows)
+    _add_score(table, group, live, coeff, got)
+    _add_score(table, group, live, per_row, got_rows)
     factors, rows = [], []
     for i, action in enumerate(_actions(group)):
         _, scores = _reference_factors(policy, action, 1, T)
@@ -530,7 +547,7 @@ def test_ordered_draws_follow_plackett_luce_probabilities():
     policy.logits_attr[:] = [0.8, 0.2, -0.3, -0.9]
     table = _Table(policy, 0.6)
     n = 40_000
-    group = _draw(table, np.random.default_rng(31), n, 0)
+    group = _draw(table, [np.random.default_rng(31)], n, [0])
     seen = Counter(action.attrs for action in _actions(group))
     outcomes = [attrs for count in range(3)
                 for attrs in itertools.permutations(range(4), count)]
@@ -539,7 +556,8 @@ def test_ordered_draws_follow_plackett_luce_probabilities():
                                      (0,) * len(attrs), True)
                               for attrs in outcomes])
     # the count factor and the two draw slots
-    expected = n * np.exp(_factor_logp(table, given)[:, 4:].sum(1))
+    expected = n * np.exp(
+        _factor_logp(table, given, _live_mass(table, given))[:, 4:].sum(1))
     assert expected.sum() == pytest.approx(n)
     observed = np.array([seen[attrs] for attrs in outcomes])
     chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -555,9 +573,10 @@ def _plackett_luce(z, attrs):
     table = _Table(policy, 1.0)
     group = _given(table, 0, [Action(True, None, len(attrs), attrs,
                                      (0,) * len(attrs), True)])
-    logp = _factor_logp(table, group)[0, 3 + z.size:].sum()
-    live = group.mask[:, 3 + z.size:].astype(float)
-    return float(logp), _draw_softmax(table, group, live)
+    live = _live_mass(table, group)
+    logp = _factor_logp(table, group, live)[0, 3 + z.size:].sum()
+    weight = group.mask[:, 3 + z.size:].astype(float)
+    return float(logp), _draw_softmax(table, group, live, weight)
 
 
 @settings(max_examples=300, deadline=None)
@@ -606,13 +625,15 @@ def test_step_tables_match_action_logp():
     current, frozen = _Table(policy, T), _Table(reference, T)
     draws = np.random.default_rng(22)
     for qid in (0, 1) * 25:
-        group = _draw(current, draws, 4, qid)
-        logp = _factor_logp(current, group).sum(1)
-        logp_ref = _factor_logp(frozen, group).sum(1)
+        group = _draw(current, [draws], 4, [qid])
+        live = _live_mass(current, group)
+        logp = _factor_logp(current, group, live).sum(1)
+        logp_ref = _factor_logp(frozen, group,
+                                _live_mass(frozen, group)).sum(1)
         for row, action in enumerate(_actions(group)):
             coeff, score = np.zeros((4, 27)), policy.zeros_like()
             coeff[row] = 1.0
-            _add_score(current, group, coeff, score)
+            _add_score(current, group, live, coeff, score)
             again, again_score = action_logp(policy, action, qid, T)
             assert logp[row] == again
             assert _score_bytes(score) == _score_bytes(again_score)
@@ -685,6 +706,8 @@ def test_train_config_optim_mapping():
 def test_train_requires_dataset():
     with pytest.raises(ConfigError):
         train(TrainConfig(steps=1))
+    with pytest.raises(ConfigError, match="empty dataset"):
+        train(TrainConfig(steps=1), dataset=[])
 
 
 @pytest.fixture(scope="module")
@@ -762,6 +785,23 @@ def test_grpo_builds_a_reference_table_per_step(tiny_dataset, monkeypatch):
     assert len(built) == 4
 
 
+def _poison_reference(monkeypatch):
+    """Patch the batched GRPO math so that every reference log-prob that
+    ``train`` hands to it is NaN; returns the names of the calls made."""
+    calls = []
+
+    def poisoned(fn):
+        def call(adv, logp_new, logp_old, logp_ref, cfg):
+            calls.append(fn.__name__)
+            return fn(adv, logp_new, logp_old,
+                      np.full(np.shape(logp_ref), np.nan), cfg)
+        return call
+
+    for name in ("group_objectives", "group_gradients"):
+        monkeypatch.setattr(grpo, name, poisoned(getattr(grpo, name)))
+    return calls
+
+
 def test_dapo_reads_no_reference_table(tiny_dataset, monkeypatch):
     built, _ = _counting_tables(monkeypatch)
     cfg = TrainConfig(steps=3, seed=7, algorithm="dapo")
@@ -771,17 +811,81 @@ def test_dapo_reads_no_reference_table(tiny_dataset, monkeypatch):
     # the same run with every reference log-prob replaced by NaN: reading
     # one would turn the curves or the policy into NaN, and it makes GRPO
     # fail at once
-    class Poisoned(grpo.ResponseRecord):
-        def __init__(self, text, reward_total, logp_old, logp_ref):
-            super().__init__(text, reward_total, logp_old,
-                             np.full(np.shape(logp_ref), np.nan))
-
-    monkeypatch.setattr(grpo, "ResponseRecord", Poisoned)
+    calls = _poison_reference(monkeypatch)
     curves_nan, policy_nan = train(cfg, dataset=tiny_dataset)
+    assert len(built) == 6
+    assert calls == ["group_objectives", "group_gradients"] * 3
     assert curves_nan == curves
     assert _score_bytes(policy_nan) == _score_bytes(policy)
+    built.clear()
     with pytest.raises(ValueError):
         train(TrainConfig(steps=3, seed=7), dataset=tiny_dataset)
+    assert len(built) == 2  # the first step's two tables, then the raise
+
+
+def _per_query_train(config, dataset):
+    """Reference: the training loop that scored one query's group at a
+    time, through ``ResponseRecord``, ``TrajectoryGroup`` and the four
+    group functions of :mod:`attrilens.grpo`."""
+    table = load_range_table(config.range_table)
+    cfg, T, G = config.optim(), config.temperature, config.group_size
+    policy = PolicyParams.zeros(n_queries=len(dataset))
+    reference = policy.copy()
+    vocab = policysim._vocabulary(policy)
+    curves = policysim.TrainingCurves()
+    for step in range(1, config.steps + 1):
+        sums = np.zeros(6)  # format, correct, count, rational, total, obj
+        n_samples = n_groups_kept = 0
+        grad_acc = policy.zeros_like()
+        current = _Table(policy, T)
+        frozen = _Table(reference, T) if cfg.effective_kl_beta else current
+        for qid, query in enumerate(dataset):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, step, qid]))
+            drawn = _draw(current, [rng], G, [qid])
+            live = _live_mass(current, drawn)
+            logp = _factor_logp(current, drawn, live)
+            logp_ref = logp if frozen is current else _factor_logp(
+                frozen, drawn, _live_mass(frozen, drawn))
+            records = []
+            for action, lp, lp_ref in zip(_actions(drawn), logp, logp_ref):
+                text = policysim._render_action(action, vocab)
+                bd = total_reward(parse_response(text), query.molecule,
+                                  query.label, query.prompt.target, table,
+                                  count_bounds=config.count_bounds)
+                sums[:5] += (bd.format, bd.correct, bd.count, bd.rational,
+                             bd.total)
+                records.append(grpo.ResponseRecord(text, bd.total, lp,
+                                                   lp_ref))
+            n_samples += len(records)
+            group = grpo.TrajectoryGroup(f"q{qid}", records)
+            grpo.fill_advantages(group)
+            if config.algorithm == "dapo" and not grpo.dapo_filter([group]):
+                continue
+            logp_new = group.logp_old()
+            sums[5] += grpo.grpo_objective(group, logp_new, cfg)
+            _add_score(current, drawn, live,
+                       grpo.grpo_gradient(group, logp_new, cfg), grad_acc)
+            n_groups_kept += 1
+        if n_groups_kept:
+            policy.add_scaled(grad_acc, config.learning_rate / n_groups_kept)
+        curves.append(step, *(sums[:5] / n_samples),
+                      sums[5] / n_groups_kept if n_groups_kept else 0.0)
+    return curves, policy
+
+
+@pytest.mark.parametrize("queries", [1, 12])
+@pytest.mark.parametrize("group_size", [2, 3, 8])
+@pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
+def test_batched_step_equals_per_query_loop(algorithm, group_size, queries):
+    dataset = load_sim_dataset(data_path("toy_train.csv"))[:queries]
+    for seed, T in itertools.product((0, 5, 9), (0.6, 1.3)):
+        config = TrainConfig(steps=5, group_size=group_size, temperature=T,
+                             seed=seed, algorithm=algorithm)
+        curves, policy = train(config, dataset=dataset)
+        want_curves, want_policy = _per_query_train(config, dataset)
+        assert curves == want_curves
+        assert _score_bytes(policy) == _score_bytes(want_policy)
 
 
 def test_export_curves_roundtrip(tmp_path, tiny_dataset):
