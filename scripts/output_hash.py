@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print five sha256 hashes that pin the package's outputs.
+"""Print seven sha256 hashes that pin the package's outputs.
 
 1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
    studies, plus three seeded ``write_smiles`` rewrites of each. Per
@@ -15,6 +15,10 @@
    the same runs, as the raw float64 bytes of each field. The curves are
    printed as decimal text and averaged over a step, so they can hide a
    drift of a few ulps in the update; these lines do not.
+4. ``score-gpt4o`` and ``score-r1``: the stdout of ``score --format
+   json`` over ``case_studies.jsonl`` under each bundled range table: one
+   row per record and the summary line. No ``--out`` is given, so no
+   manifest (which holds the wall time) is written or hashed.
 
 The dump reads the molecule only through its public attributes, so two
 versions of the package that store a molecule differently still hash the
@@ -28,6 +32,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -39,8 +44,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from attrilens import policysim  # noqa: E402
-from attrilens._data import data_dir, data_path  # noqa: E402
+from attrilens import cli, policysim  # noqa: E402
+from attrilens._data import BUNDLED_RANGE_TABLES, data_dir, data_path  # noqa: E402
 from attrilens.descriptors import compute, implemented_names  # noqa: E402
 from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles  # noqa: E402
 
@@ -112,6 +117,17 @@ def train_hashes(algorithm: str) -> tuple[str, str]:
             digest.hexdigest())
 
 
+def score_hash(table: str) -> str:
+    """The hash of ``score``'s JSON rows over the case studies."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["score", str(data_path("case_studies.jsonl")),
+                         "--table", table, "--format", "json"])
+    if code != 0:
+        raise SystemExit(f"score --table {table} exited {code}")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main() -> int:
     print(f"molecules {molecules_hash()}")
     runs = {algorithm: train_hashes(algorithm) for algorithm in ALGORITHMS}
@@ -119,6 +135,8 @@ def main() -> int:
         print(f"curves-{algorithm} {runs[algorithm][0]}")
     for algorithm in ALGORITHMS:
         print(f"policy-{algorithm} {runs[algorithm][1]}")
+    for table in BUNDLED_RANGE_TABLES:
+        print(f"score-{table.removesuffix('-default')} {score_hash(table)}")
     return 0
 
 

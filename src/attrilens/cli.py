@@ -179,10 +179,10 @@ def cmd_score(args) -> int:
         problem = _record_error(rec)
         if problem is not None:
             raise InputError(f"{args.corpus}:{lineno}: {problem}")
-        if not table.has_target(rec["target"]):
-            raise TableMissing(f"{args.corpus}:{lineno}: range table "
-                               f"{table.source} has no entries for target "
-                               f"{rec['target']!r}")
+        try:
+            table.rows(rec["target"])
+        except TableMissing as exc:
+            raise TableMissing(f"{args.corpus}:{lineno}: {exc}") from exc
 
     # Records that share a SMILES (the G responses of a group) share one
     # Molecule and its descriptor cache. The memo lives for this call only.

@@ -281,7 +281,8 @@ def _pattern_matches(tokens: _Tokens, env: _AtomEnv) -> bool:
     return True
 
 
-def _read_param_rows(filename: str) -> list[tuple[_Tokens, float]]:
+@functools.lru_cache(maxsize=2)
+def _read_param_rows(filename: str) -> tuple[tuple[_Tokens, float], ...]:
     """(pattern tokens, contribution) per table row, in file order.
 
     The ``*`` pattern has no tokens, so it matches every atom.
@@ -297,28 +298,7 @@ def _read_param_rows(filename: str) -> list[tuple[_Tokens, float]]:
             for key, val in (tok.split("=", 1) for tok in pattern.split(";"))
         )
         rows.append((tokens, value))
-    return rows
-
-
-def _admits(tokens: _Tokens, element: str | None) -> bool:
-    """Whether a row's ``el`` token (if any) lets it match ``element``."""
-    el = dict(tokens).get("el")
-    return el is None or el == element or (el == "hal" and element in _HALOGENS)
-
-
-@functools.lru_cache(maxsize=2)
-def _load_param_index(filename: str) -> dict[str | None, tuple[tuple[_Tokens, float], ...]]:
-    """A parameter table's rows, indexed by the element they can match.
-
-    Each element's rows keep file order, so its first match is the first
-    match in the whole table. Rows without an ``el`` token sit in every
-    list; the ``None`` list holds just those, for elements no row names.
-    """
-    rows = _read_param_rows(filename)
-    named = {dict(tokens).get("el") for tokens, _ in rows} | {None}
-    if "hal" in named:
-        named = (named - {"hal"}) | set(_HALOGENS)
-    return {el: tuple(r for r in rows if _admits(r[0], el)) for el in named}
+    return tuple(rows)
 
 
 _CRIPPEN = "crippen_params.tsv"
@@ -337,8 +317,7 @@ def _match_contribution(table: str, element: str, aromatic: bool, total_h: int,
     bonds = "".join(sorted((ch for *_, ch in neighbors), key=_BOND_SORT.__getitem__))
     env = _AtomEnv(element, aromatic, total_h, charge, bonds, ring3,
                    len(neighbors), neighbors)
-    index = _load_param_index(table)
-    for tokens, value in index.get(element, index[None]):
+    for tokens, value in _read_param_rows(table):
         if _pattern_matches(tokens, env):
             return value
     return None

@@ -43,7 +43,6 @@ from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
 from .response import (
     CLASSIFICATION,
-    AttributeClaim,
     PromptSpec,
     parse_response,
     render_response,
@@ -437,7 +436,7 @@ def _vocabulary(policy: PolicyParams) -> tuple[str, ...]:
 
 def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
     claims = [
-        AttributeClaim(vocab[i], "promotes" if bit else "inhibits")
+        (vocab[i], "promotes" if bit else "inhibits")
         for i, bit in zip(action.attrs, action.polarities)
     ]
     return render_response(

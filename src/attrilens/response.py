@@ -191,7 +191,8 @@ def parse_response(text: str, task: str = CLASSIFICATION) -> ParsedResponse:
 def render_response(think: str, claims, answer, omit: str | None = None) -> str:
     """Assemble a response in the canonical shape the parser expects.
 
-    ``claims`` is an iterable of AttributeClaim (or (name, polarity) pairs);
+    ``claims`` is an iterable of (name, polarity) pairs, polarity None for
+    a bare name;
     ``answer`` is a bool for classification or a number for regression.
     ``omit`` drops one tag pair entirely ("think" | "name" | "answer"),
     which is the canonical way to make a malformed-but-realistic response.
@@ -200,13 +201,8 @@ def render_response(think: str, claims, answer, omit: str | None = None) -> str:
     if omit != "think":
         parts.append(f"<think> {think} </think>")
     if omit != "name":
-        rendered = []
-        for claim in claims:
-            if isinstance(claim, AttributeClaim):
-                name, polarity = claim.raw_name, claim.polarity
-            else:
-                name, polarity = claim
-            rendered.append(name if polarity is None else f"{name}: {polarity}")
+        rendered = [name if polarity is None else f"{name}: {polarity}"
+                    for name, polarity in claims]
         parts.append(f"<name> {', '.join(rendered)} </name>")
     if omit != "answer":
         if isinstance(answer, bool):

@@ -20,8 +20,9 @@ Reward semantics (classification labels are booleans):
 The total is the plain sum, so it lives in [-3, +4].
 
 Range tables are plain text: ``target <TAB> descriptor <TAB> interval-set``
-with interval sets like ``[0, 90)`` or ``(-inf, 3.5], (5, 7)``. Membership
-is exact closed/half-open arithmetic -- no epsilon fuzz.
+with interval sets like ``[0, 90)`` or ``(-inf, 3.5], (5, 7)``: exactly one
+comma between intervals, and none before the first or after the last.
+Membership is exact closed/half-open arithmetic -- no epsilon fuzz.
 """
 
 from __future__ import annotations
@@ -88,59 +89,51 @@ class Interval:
         return f"{lo}{self.lo:g}, {self.hi:g}{hi}"
 
 
-_INTERVAL_RE = re.compile(
-    r"([\[\(])\s*([+-]?(?:inf|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*,"
-    r"\s*([+-]?(?:inf|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([\]\)])"
-)
+_NUMBER = r"[+-]?(?:inf|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# Groups: the interval as written, its brackets and its two bounds.
+_INTERVAL = rf"(([\[\(])\s*({_NUMBER})\s*,\s*({_NUMBER})\s*([\]\)]))"
+_INTERVAL_RE = re.compile(_INTERVAL)
+_INTERVAL_SET_RE = re.compile(rf"\s*{_INTERVAL}(?:\s*,\s*{_INTERVAL})*\s*")
 
 
 def parse_interval_set(text: str, where: str = "") -> tuple[Interval, ...]:
-    """Parse a comma-separated union of intervals."""
-    intervals: list[Interval] = []
-    consumed: list[tuple[int, int]] = []
-    for m in _INTERVAL_RE.finditer(text):
-        lo = float(m.group(2))
-        hi = float(m.group(3))
-        lo_closed = m.group(1) == "["
-        hi_closed = m.group(4) == "]"
-        if math.isinf(lo) and lo > 0 or math.isinf(hi) and hi < 0 or lo > hi:
-            raise ParseError(f"{where}: inverted interval {m.group(0)!r}")
-        if math.isinf(lo) and lo_closed or math.isinf(hi) and hi_closed:
-            raise ParseError(f"{where}: closed infinite bound in {m.group(0)!r}")
-        intervals.append(Interval(lo, hi, lo_closed, hi_closed))
-        consumed.append(m.span())
-    leftover = list(text)
-    for start, end in consumed:
-        for k in range(start, end):
-            leftover[k] = " "
-    residue = "".join(leftover).replace(",", " ").strip()
-    if residue or not intervals:
+    """Parse a union of intervals with exactly one comma between them."""
+    if not _INTERVAL_SET_RE.fullmatch(text):
         raise ParseError(f"{where}: malformed interval set {text!r}")
-    if len(consumed) - 1 != "".join(leftover).count(","):
-        raise ParseError(f"{where}: intervals must be comma-separated in {text!r}")
+    intervals = []
+    # findall, not a match iterator: on CPython 3.11 those leave strings
+    # in the type attribute cache (see molgraph.parse_smiles).
+    for written, lo_bracket, lo_text, hi_text, hi_bracket in _INTERVAL_RE.findall(text):
+        lo, hi = float(lo_text), float(hi_text)
+        lo_closed, hi_closed = lo_bracket == "[", hi_bracket == "]"
+        if math.isinf(lo) and lo > 0 or math.isinf(hi) and hi < 0 or lo > hi:
+            raise ParseError(f"{where}: inverted interval {written!r}")
+        if math.isinf(lo) and lo_closed or math.isinf(hi) and hi_closed:
+            raise ParseError(f"{where}: closed infinite bound in {written!r}")
+        intervals.append(Interval(lo, hi, lo_closed, hi_closed))
     return tuple(intervals)
 
 
 @dataclass(frozen=True)
 class RangeTable:
-    """Advantageous ranges per (target property, descriptor)."""
+    """Advantageous interval sets, one map per target property.
 
-    entries: dict  # (target_lower, descriptor_name) -> tuple[Interval, ...]
-    targets: frozenset
+    ``entries`` maps a lowercased target to ``{descriptor name: intervals}``.
+    """
+
+    entries: dict  # target_lower -> {descriptor_name: tuple[Interval, ...]}
     source: str
 
-    def interval_set(self, target: str, descriptor_name: str):
-        return self.entries.get((target.lower(), descriptor_name))
+    def rows(self, target: str) -> dict:
+        """The target's descriptor map, matching the target case-insensitively.
 
-    def has_target(self, target: str) -> bool:
-        return target.lower() in self.targets
-
-    def advantageous(self, target: str, descriptor_name: str, value: float) -> bool | None:
-        """True/False membership verdict, or None when there is no entry."""
-        ivs = self.interval_set(target, descriptor_name)
-        if ivs is None:
-            return None
-        return any(iv.contains(value) for iv in ivs)
+        Raises :class:`TableMissing` when the table has no entries for it.
+        """
+        rows = self.entries.get(target.lower())
+        if rows is None:
+            raise TableMissing(f"range table {self.source} has no entries for "
+                               f"target {target!r}")
+        return rows
 
 
 def load_range_table(path_or_name: "str | Path") -> RangeTable:
@@ -149,7 +142,6 @@ def load_range_table(path_or_name: "str | Path") -> RangeTable:
     if not path.exists():
         raise FileNotFoundError(f"range table not found: {path}")
     entries: dict = {}
-    targets = set()
     canonical = {e.name for e in descriptors.registry()}
     with open_text(path, ParseError) as fh:
         text = fh.read()
@@ -165,12 +157,11 @@ def load_range_table(path_or_name: "str | Path") -> RangeTable:
             raise ParseError(f"{where}: empty target")
         if descriptor_name not in canonical:
             raise UnknownDescriptor(f"{where}: unknown descriptor {descriptor_name!r}")
-        key = (target.lower(), descriptor_name)
-        if key in entries:
+        rows = entries.setdefault(target.lower(), {})
+        if descriptor_name in rows:
             raise ParseError(f"{where}: duplicate entry for {target}/{descriptor_name}")
-        entries[key] = parse_interval_set(interval_text, where)
-        targets.add(target.lower())
-    return RangeTable(entries=entries, targets=frozenset(targets), source=str(path))
+        rows[descriptor_name] = parse_interval_set(interval_text, where)
+    return RangeTable(entries=entries, source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +210,7 @@ def reward_count(parsed: ParsedResponse, lo: int = 3, hi: int = 10) -> float:
 
 def _rational_detail(parsed: ParsedResponse, mol: Molecule, target: str,
                      table: RangeTable) -> tuple[float, int, int]:
-    if not table.has_target(target):
-        raise TableMissing(f"range table {table.source} has no entries for "
-                           f"target {target!r}")
+    rows = table.rows(target)
     verified = 0
     matched = 0
     for claim in parsed.claims or ():
@@ -232,13 +221,12 @@ def _rational_detail(parsed: ParsedResponse, mol: Molecule, target: str,
             skip = "unresolved"
         elif not ident.implemented:
             skip = "unimplemented"
-        elif (verdict := table.advantageous(
-                target, ident.name,
-                descriptors.compute(mol, ident).value)) is None:
+        elif (ivs := rows.get(ident.name)) is None:
             skip = "no table entry"
         else:
             verified += 1
-            if (claim.polarity == "promotes") == verdict:
+            value = descriptors.compute(mol, ident).value
+            if (claim.polarity == "promotes") == any(iv.contains(value) for iv in ivs):
                 matched += 1
             continue
         log.debug("claim %r: %s (descriptor %s, target %s), unverifiable",

@@ -1,6 +1,8 @@
 """Reward components, range tables, and the combined breakdown."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attrilens.molgraph import parse_smiles
 from attrilens.response import parse_response, render_response
@@ -56,24 +58,72 @@ def test_union_of_intervals():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "[5,1]", "[1,2] [3,4]", "banana", "[inf,inf]", "(-inf,3] junk"],
+    ["", "[5,1]", "[1,2] [3,4]", "banana", "[inf,inf]", "(-inf,3] junk",
+     # a stray comma at either end must not stand in for a missing one
+     ", [0,1] [2,3]", "[0,1] [2,3] ,"],
 )
 def test_malformed_interval_sets(bad):
     with pytest.raises(ParseError):
         parse_interval_set(bad)
 
 
+_BLANK = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def _interval_texts(draw):
+    """One well-formed interval, written with arbitrary inner spacing."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lo, hi = sorted((draw(finite), draw(finite)))
+    lo_b, hi_b = draw(st.sampled_from("[(")), draw(st.sampled_from("])"))
+    if draw(st.booleans()):
+        lo, lo_b = -float("inf"), "("
+    if draw(st.booleans()):
+        hi, hi_b = float("inf"), ")"
+    pad = [draw(_BLANK) for _ in range(4)]
+    return f"{lo_b}{pad[0]}{lo!r}{pad[1]},{pad[2]}{hi!r}{pad[3]}{hi_b}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_interval_texts(), min_size=1, max_size=4),
+       st.lists(st.tuples(_BLANK, _BLANK), min_size=5, max_size=5),
+       st.sampled_from(["drop", "double", "leading", "trailing"]))
+def test_interval_set_grammar(intervals, blanks, fault):
+    seps = [f"{a},{b}" for a, b in blanks[:len(intervals) - 1]]
+    text = intervals[0] + "".join(s + iv for s, iv in zip(seps, intervals[1:]))
+    assert parse_interval_set(text) == tuple(
+        iv for one in intervals for iv in parse_interval_set(one))
+
+    assume(fault in ("leading", "trailing") or seps)
+    stray = "{},{}".format(*blanks[-1])
+    if fault == "leading":
+        bad = stray + text
+    elif fault == "trailing":
+        bad = text + stray
+    else:
+        # the first separator sits right after the first interval
+        sep = seps[0].replace(",", "" if fault == "drop" else ",,")
+        bad = intervals[0] + sep + text[len(intervals[0]) + len(seps[0]):]
+    with pytest.raises(ParseError):
+        parse_interval_set(bad)
+
+
 def test_table_loads_bundled_by_name(default_table, alt_table):
-    assert default_table.has_target("BBBP")
-    assert default_table.has_target("bbbp")
-    assert alt_table.has_target("BACE")
+    assert default_table.rows("BBBP") is default_table.rows("bbbp")
+    assert "MolWt" in default_table.rows("BBBP")
+    assert "MolWt" in alt_table.rows("BACE")
+    with pytest.raises(TableMissing) as err:
+        default_table.rows("ESOL")
+    assert default_table.source in str(err.value)
+    assert "'ESOL'" in str(err.value)
 
 
 def test_table_verdicts(default_table):
-    assert default_table.advantageous("BBBP", "MolWt", 300.0) is True
-    assert default_table.advantageous("BBBP", "MolWt", 600.0) is False
+    ivs = default_table.rows("BBBP")["MolWt"]
+    assert any(iv.contains(300.0) for iv in ivs)
+    assert not any(iv.contains(600.0) for iv in ivs)
     # deliberate omission: no acceptor row for BACE
-    assert default_table.advantageous("BACE", "NumHAcceptors", 3.0) is None
+    assert "NumHAcceptors" not in default_table.rows("BACE")
 
 
 def test_table_unknown_descriptor_rejected(tmp_path):
@@ -201,6 +251,20 @@ def test_rational_skips_descriptors_without_rows(default_table):
     assert value == 1.0
 
 
+def test_rational_computes_only_descriptors_with_rows(default_table):
+    # toxicity has 6 rows and none for RingCount, an implemented descriptor
+    assert "RingCount" not in default_table.rows("toxicity")
+    mol = _benzene()
+    base = total_reward(_response([("MolWt", "inhibits")]), mol, True,
+                        "toxicity", default_table)
+    bd = total_reward(_response([("MolWt", "inhibits"), ("RingCount", "promotes")]),
+                      mol, True, "toxicity", default_table)
+    assert "RingCount" not in mol.descriptor_cache
+    assert "MolWt" in mol.descriptor_cache
+    # benzene's MolWt 78.1 lies outside [500, inf), so "inhibits" matches
+    assert (bd.verified, bd.matched) == (base.verified, base.matched) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # totals
 # ---------------------------------------------------------------------------
@@ -251,9 +315,12 @@ def test_bundled_tables_agree_on_fixture_molecules(default_table, alt_table):
     mol = parse_smiles("CN(C(=O)Cc1ccc(Cl)c(Cl)c1)C1CCCC[C@H]1N1CCCC1")
     from attrilens.descriptors import compute, implemented_names
 
-    for name in implemented_names():
+    rows_a, rows_b = default_table.rows("BBBP"), alt_table.rows("BBBP")
+    shared = [name for name in implemented_names()
+              if name in rows_a and name in rows_b]
+    assert shared
+    for name in shared:
         value = compute(mol, name).value
-        a = default_table.advantageous("BBBP", name, value)
-        b = alt_table.advantageous("BBBP", name, value)
-        if a is not None and b is not None:
-            assert a == b, name
+        a = any(iv.contains(value) for iv in rows_a[name])
+        b = any(iv.contains(value) for iv in rows_b[name])
+        assert a == b, name
