@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print seven sha256 hashes that pin the package's outputs.
+"""Print eight sha256 hashes that pin the package's outputs.
 
 1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
    studies, plus three seeded ``write_smiles`` rewrites of each. Per
@@ -19,6 +19,10 @@
    json`` over ``case_studies.jsonl`` under each bundled range table: one
    row per record and the summary line. No ``--out`` is given, so no
    manifest (which holds the wall time) is written or hashed.
+5. ``responses``: the ``parse_response`` fields (think, claims, answer,
+   ``format_ok``) under both tasks for a fixed seeded set of strings: the
+   six tags in order, then swapped, duplicated and dropped at random,
+   with fillers between them.
 
 The dump reads the molecule only through its public attributes, so two
 versions of the package that store a molecule differently still hash the
@@ -48,12 +52,19 @@ from attrilens import cli, policysim  # noqa: E402
 from attrilens._data import BUNDLED_RANGE_TABLES, data_dir, data_path  # noqa: E402
 from attrilens.descriptors import compute, implemented_names  # noqa: E402
 from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles  # noqa: E402
+from attrilens.response import (CLASSIFICATION, REGRESSION,  # noqa: E402
+                                parse_response)
 
 REWRITES = 3
 CURVE_STEPS = 40
 ALGORITHMS = ("grpo", "dapo")
 POLICY_FIELDS = ("logit_format", "logits_count", "logits_attr",
                  "logits_polarity", "logits_answer")
+RESPONSE_TEXTS = 20_000
+TAGS = ("<think>", "</think>", "<name>", "</name>", "<answer>", "</answer>")
+FILLERS = ("", " ", "x", " LogP: promotes, TPSA ", " MolWt: inhibits ",
+           "LogP: maybe", " True ", "false.", " 2.5e1 ", " -.5 ", ",", ":",
+           "<", "/>")
 
 
 def bundled_smiles() -> list[str]:
@@ -128,6 +139,36 @@ def score_hash(table: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def tag_strings():
+    """The seeded response texts of the ``responses`` line."""
+    rng = np.random.default_rng(0)
+    for _ in range(RESPONSE_TEXTS):
+        order = list(range(len(TAGS)))
+        for edit in rng.integers(3, size=rng.integers(4)).tolist():
+            if not order:
+                break
+            i, j = rng.integers(len(order), size=2).tolist()
+            if edit == 0:
+                order[i], order[j] = order[j], order[i]
+            elif edit == 1:
+                order.insert(j, order[i])
+            else:
+                del order[i]
+        fillers = [FILLERS[f] for f in rng.integers(len(FILLERS),
+                                                      size=len(order) + 1)]
+        yield "".join(f + TAGS[k] for f, k in zip(fillers, order)) + fillers[-1]
+
+
+def responses_hash() -> str:
+    digest = hashlib.sha256()
+    for text in tag_strings():
+        for task in (CLASSIFICATION, REGRESSION):
+            parsed = parse_response(text, task)
+            digest.update(repr((parsed.think, parsed.claims, parsed.answer,
+                                parsed.format_ok)).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main() -> int:
     print(f"molecules {molecules_hash()}")
     runs = {algorithm: train_hashes(algorithm) for algorithm in ALGORITHMS}
@@ -137,6 +178,7 @@ def main() -> int:
         print(f"policy-{algorithm} {runs[algorithm][1]}")
     for table in BUNDLED_RANGE_TABLES:
         print(f"score-{table.removesuffix('-default')} {score_hash(table)}")
+    print(f"responses {responses_hash()}")
     return 0
 
 

@@ -183,112 +183,75 @@ class _AtomEnv(NamedTuple):
     neighbors: tuple[tuple[str, bool, str], ...]
 
 
-def _neighbor_in_class(neighbors, klass: str, single_only: bool) -> bool:
-    for element, aromatic, bond_ch in neighbors:
-        if single_only and bond_ch != "s":
-            continue
-        if klass == "a":
-            if aromatic:
-                return True
-        elif klass == "c":
-            if aromatic and element == "C":
-                return True
-        elif klass == "C":
-            if not aromatic and element == "C":
-                return True
-        elif klass == "X":
-            if element not in _HETERO_EXCLUDE:
-                return True
-        elif element == klass:
-            return True
-    return False
+# The att/noatt/satt neighbour classes, as tests of (element, aromatic);
+# any other class names an element.
+_NEIGHBOR_CLASSES = {
+    "a": lambda element, aromatic: aromatic,
+    "c": lambda element, aromatic: aromatic and element == "C",
+    "C": lambda element, aromatic: not aromatic and element == "C",
+    "X": lambda element, aromatic: element not in _HETERO_EXCLUDE,
+}
 
 
-def _multibond_partner(neighbors, order_ch: str, klass: str) -> bool:
-    for element, _aromatic, bond_ch in neighbors:
-        if bond_ch != order_ch:
-            continue
+def _attached(env: _AtomEnv, klass: str, single_only: bool = False) -> bool:
+    """Whether a neighbour in ``klass`` is bonded to the atom (through a
+    single bond, with ``single_only``)."""
+    in_class = _NEIGHBOR_CLASSES.get(klass, lambda element, _: element == klass)
+    return any(in_class(element, aromatic)
+               for element, aromatic, bond_ch in env.neighbors
+               if bond_ch == "s" or not single_only)
+
+
+def _partner(bond_ch: str):
+    """The dbl/tpl test over the atom's partners through ``bond_ch`` bonds:
+    ``none`` (there are none), ``any``, ``C`` (a carbon, aromatic or not)
+    or ``X`` (an atom other than C and H)."""
+    def test(env: _AtomEnv, klass: str) -> bool:
+        partners = [element for element, _, ch in env.neighbors if ch == bond_ch]
+        if klass == "none":
+            return not partners
         if klass == "any":
-            return True
-        if klass == "C" and element == "C":
-            return True
-        if klass == "X" and element not in _HETERO_EXCLUDE:
-            return True
-    return False
+            return bool(partners)
+        if klass == "C":
+            return "C" in partners
+        return klass == "X" and any(e not in _HETERO_EXCLUDE for e in partners)
+    return test
+
+
+# One test per pattern key, called as test(env, value).
+_TESTS = {
+    "el": lambda env, v: env.element == v,
+    "arom": lambda env, v: env.aromatic == bool(v),
+    "h": lambda env, v: env.total_h == v,
+    "hmin": lambda env, v: env.total_h >= v,
+    "hmax": lambda env, v: env.total_h <= v,
+    "chg": lambda env, v: env.charge == v,
+    "chgneg": lambda env, v: env.charge < 0,
+    "bonds": lambda env, v: env.bonds == v,
+    "ring3": lambda env, v: env.ring3 == bool(v),
+    "degmin": lambda env, v: env.degree >= v,
+    "dbl": _partner("d"),
+    "tpl": _partner("t"),
+    "att": lambda env, v: _attached(env, v),
+    "noatt": lambda env, v: not _attached(env, v),
+    "satt": lambda env, v: _attached(env, v, single_only=True),
+}
 
 
 def _pattern_matches(tokens: _Tokens, env: _AtomEnv) -> bool:
-    for key, val in tokens:
-        if key == "el":
-            if val == "hal":
-                if env.element not in _HALOGENS:
-                    return False
-            elif env.element != val:
-                return False
-        elif key == "arom":
-            if env.aromatic != bool(val):
-                return False
-        elif key == "h":
-            if env.total_h != val:
-                return False
-        elif key == "hmin":
-            if env.total_h < val:
-                return False
-        elif key == "hmax":
-            if env.total_h > val:
-                return False
-        elif key == "chg":
-            if env.charge != val:
-                return False
-        elif key == "chgpos":
-            if not env.charge > 0:
-                return False
-        elif key == "chgneg":
-            if not env.charge < 0:
-                return False
-        elif key == "bonds":
-            if env.bonds != val:
-                return False
-        elif key == "ring3":
-            if env.ring3 != bool(val):
-                return False
-        elif key == "degmin":
-            if env.degree < val:
-                return False
-        elif key == "dbl":
-            if val == "none":
-                if any(ch == "d" for _, _, ch in env.neighbors):
-                    return False
-            elif not _multibond_partner(env.neighbors, "d", val):
-                return False
-        elif key == "tpl":
-            if val == "none":
-                if any(ch == "t" for _, _, ch in env.neighbors):
-                    return False
-            elif not _multibond_partner(env.neighbors, "t", val):
-                return False
-        elif key == "att":
-            if not _neighbor_in_class(env.neighbors, val, single_only=False):
-                return False
-        elif key == "noatt":
-            if _neighbor_in_class(env.neighbors, val, single_only=False):
-                return False
-        elif key == "satt":
-            if not _neighbor_in_class(env.neighbors, val, single_only=True):
-                return False
-        else:
-            raise ValueError(f"unknown pattern key {key!r}")
-    return True
+    return all(_TESTS[key](env, value) for key, value in tokens)
 
 
 @functools.lru_cache(maxsize=2)
 def _read_param_rows(filename: str) -> tuple[tuple[_Tokens, float], ...]:
     """(pattern tokens, contribution) per table row, in file order.
 
-    The ``*`` pattern has no tokens, so it matches every atom.
+    The ``*`` pattern has no tokens, so it matches every atom. A key with
+    no test in :data:`_TESTS` is rejected here, naming the file and line.
     """
+    path = _DATA_DIR / filename
     rows = []
-    for line in (_DATA_DIR / filename).read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -297,6 +260,9 @@ def _read_param_rows(filename: str) -> tuple[tuple[_Tokens, float], ...]:
             (key, int(val) if val.lstrip("-").isdigit() else val)
             for key, val in (tok.split("=", 1) for tok in pattern.split(";"))
         )
+        for key, _ in tokens:
+            if key not in _TESTS:
+                raise ValueError(f"{path}:{lineno}: unknown pattern key {key!r}")
         rows.append((tokens, value))
     return tuple(rows)
 

@@ -196,16 +196,25 @@ def scaffold_split(
 # ---------------------------------------------------------------------------
 
 
+def _feature_ids(feature_ids) -> tuple[DescriptorId, ...]:
+    """Each feature as a :class:`DescriptorId`, resolving names; a name
+    that resolves to no descriptor raises ``KeyError`` naming it."""
+    ids = []
+    for d in feature_ids:
+        ident = d if isinstance(d, DescriptorId) else resolve_attribute(str(d))
+        if ident is None:
+            raise KeyError(f"unknown descriptor {d!r}")
+        ids.append(ident)
+    return tuple(ids)
+
+
 def featurize(records, feature_ids) -> np.ndarray:
     """Descriptor matrix, one row per record.
 
     Multi-component inputs (salts) are featurized on their largest
     component, the usual convention for property models.
     """
-    ids = [
-        d if isinstance(d, DescriptorId) else resolve_attribute(str(d))
-        for d in feature_ids
-    ]
+    ids = _feature_ids(feature_ids)
     X = np.empty((len(records), len(ids)), dtype=float)
     for i, rec in enumerate(records):
         mol = rec.molecule.largest_component()
@@ -336,10 +345,7 @@ def train_forest(
     y = np.array([1.0 if r.label else 0.0 for r in records])
     if len(set(y.tolist())) < 2:
         raise DegenerateLabels("training labels contain a single class")
-    ids = tuple(
-        d if isinstance(d, DescriptorId) else resolve_attribute(str(d))
-        for d in feature_ids
-    )
+    ids = _feature_ids(feature_ids)
     X = featurize(records, ids)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite descriptor feature encountered")

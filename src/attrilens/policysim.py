@@ -47,7 +47,7 @@ from .response import (
     parse_response,
     render_response,
 )
-from .rewards import RangeTable, load_range_table, total_reward
+from .rewards import RangeTable, TableMissing, load_range_table, total_reward
 
 __all__ = [
     "ConfigError",
@@ -694,6 +694,14 @@ def train(
         )
     if any(q.prompt.task != CLASSIFICATION for q in dataset):
         raise ConfigError("the simulator supports classification prompts only")
+    # every response reads its target's rows, so a missing target is
+    # reported now, by row, rather than from inside step 1
+    for row, query in enumerate(dataset, start=1):
+        try:
+            table.rows(query.prompt.target)
+        except TableMissing as exc:
+            raise TableMissing(f"{config.dataset or 'dataset'}: row {row}: "
+                               f"{exc}") from exc
     vocab = _vocabulary(policy)
     reference = policy.copy()
     curves = TrainingCurves()

@@ -112,19 +112,17 @@ def parse_claims(content: str) -> tuple[tuple[AttributeClaim, ...] | None, bool]
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _extract(text: str, tag: str) -> tuple[str | None, int, int, int]:
-    """First-pair payload plus bookkeeping: (content, open count, close
-    count, open position). Content is None when either tag is missing."""
+def _extract(text: str, tag: str) -> tuple[str | None, bool, int, int]:
+    """First-pair payload plus bookkeeping: (content, whether each tag
+    occurs exactly once, open position, close position). Content is None
+    when either tag is missing, and then the close position is -1."""
     open_tag, close_tag = f"<{tag}>", f"</{tag}>"
-    n_open = text.count(open_tag)
-    n_close = text.count(close_tag)
+    once = text.count(open_tag) == 1 and text.count(close_tag) == 1
     start = text.find(open_tag)
-    if start < 0:
-        return None, n_open, n_close, -1
-    end = text.find(close_tag, start + len(open_tag))
+    end = -1 if start < 0 else text.find(close_tag, start + len(open_tag))
     if end < 0:
-        return None, n_open, n_close, start
-    return text[start + len(open_tag):end], n_open, n_close, start
+        return None, once, start, -1
+    return text[start + len(open_tag):end], once, start, end
 
 
 def _parse_answer(content: str | None, task: str):
@@ -154,9 +152,9 @@ def parse_response(text: str, task: str = CLASSIFICATION) -> ParsedResponse:
     if not isinstance(text, str):
         text = str(text)
 
-    think, t_open, t_close, t_pos = _extract(text, "think")
-    name_raw, n_open, n_close, n_pos = _extract(text, "name")
-    answer_raw, a_open, a_close, a_pos = _extract(text, "answer")
+    think, t_once, _, t_end = _extract(text, "think")
+    name_raw, n_once, n_pos, n_end = _extract(text, "name")
+    answer_raw, a_once, a_pos, _ = _extract(text, "answer")
 
     claims: tuple[AttributeClaim, ...] | None = None
     claims_ok = False
@@ -165,26 +163,21 @@ def parse_response(text: str, task: str = CLASSIFICATION) -> ParsedResponse:
 
     answer = _parse_answer(answer_raw, task)
 
+    # A tag pair that occurs once and has content closes after it opens, so
+    # its close position is the only one; the claims and the answer parse
+    # only from content. What is left is the section order: think closes
+    # before name opens, name closes before answer opens.
     format_ok = (
-        t_open == 1 and t_close == 1 and think is not None
-        and n_open == 1 and n_close == 1 and name_raw is not None
-        and a_open == 1 and a_close == 1 and answer_raw is not None
-        and claims_ok
-        and answer is not None
-        # strict section order: think closes before name opens, name closes
-        # before answer opens
-        and text.find("</think>") < n_pos
-        and text.find("</name>") < a_pos
-        and t_pos < text.find("</think>")
-        and n_pos < text.find("</name>")
-        and a_pos < text.find("</answer>")
+        t_once and think is not None and n_once and a_once
+        and claims_ok and answer is not None
+        and t_end < n_pos and n_end < a_pos
     )
 
     return ParsedResponse(
         think=think,
         claims=claims,
         answer=answer,
-        format_ok=bool(format_ok),
+        format_ok=format_ok,
     )
 
 

@@ -492,6 +492,24 @@ def test_train_sim_short_dataset_row_names_line(capsys, tmp_path):
     assert f"{data}:4:" in err
 
 
+def test_train_sim_target_missing_from_table_names_row(capsys, tmp_path,
+                                                     monkeypatch):
+    data = tmp_path / "sim.csv"
+    data.write_text("smiles,target,task,label\n"
+                    "CCO,BBBP,classification,True\n"
+                    "CCN,ESOL,classification,False\n")
+    steps = []
+    monkeypatch.setattr(attrilens.policysim, "_train_step",
+                        lambda *a: steps.append(a))
+    code, _, err = run(capsys, "train-sim", "--dataset", str(data),
+                       "--steps", "1", "--out", str(tmp_path / "c.csv"))
+    assert code == 3
+    assert f"{data}: row 2: range table " in err
+    assert "has no entries for target 'ESOL'" in err
+    assert steps == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

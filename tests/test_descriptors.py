@@ -188,10 +188,113 @@ def test_parameter_table_regression_pins(smiles, name, value):
     assert compute(mol, name).value == pytest.approx(value, abs=1e-3)
 
 
+def _reference_in_class(neighbors, klass, single_only):
+    for element, aromatic, bond_ch in neighbors:
+        if single_only and bond_ch != "s":
+            continue
+        if klass == "a":
+            if aromatic:
+                return True
+        elif klass == "c":
+            if aromatic and element == "C":
+                return True
+        elif klass == "C":
+            if not aromatic and element == "C":
+                return True
+        elif klass == "X":
+            if element not in ("C", "H"):
+                return True
+        elif element == klass:
+            return True
+    return False
+
+
+def _reference_partner(neighbors, order_ch, klass):
+    for element, _aromatic, bond_ch in neighbors:
+        if bond_ch != order_ch:
+            continue
+        if klass == "any":
+            return True
+        if klass == "C" and element == "C":
+            return True
+        if klass == "X" and element not in ("C", "H"):
+            return True
+    return False
+
+
+def _reference_matches(tokens, env):
+    """Reference: the pattern-key interpreter as an if-chain, on the raw
+    ``key=value`` strings of a table row."""
+    for key, val in tokens:
+        num = int(val) if val.lstrip("-").isdigit() else None
+        if key == "el":
+            if env.element != val:
+                return False
+        elif key == "arom":
+            if env.aromatic != bool(num):
+                return False
+        elif key == "h":
+            if env.total_h != num:
+                return False
+        elif key == "hmin":
+            if env.total_h < num:
+                return False
+        elif key == "hmax":
+            if env.total_h > num:
+                return False
+        elif key == "chg":
+            if env.charge != num:
+                return False
+        elif key == "chgneg":
+            if not env.charge < 0:
+                return False
+        elif key == "bonds":
+            if env.bonds != val:
+                return False
+        elif key == "ring3":
+            if env.ring3 != bool(num):
+                return False
+        elif key == "degmin":
+            if env.degree < num:
+                return False
+        elif key in ("dbl", "tpl"):
+            order_ch = "d" if key == "dbl" else "t"
+            if val == "none":
+                if any(ch == order_ch for _, _, ch in env.neighbors):
+                    return False
+            elif not _reference_partner(env.neighbors, order_ch, val):
+                return False
+        elif key == "att":
+            if not _reference_in_class(env.neighbors, val, False):
+                return False
+        elif key == "noatt":
+            if _reference_in_class(env.neighbors, val, False):
+                return False
+        elif key == "satt":
+            if not _reference_in_class(env.neighbors, val, True):
+                return False
+        else:
+            raise ValueError(f"unknown pattern key {key!r}")
+    return True
+
+
+def _raw_rows(filename):
+    """Reference: (raw ``(key, value)`` strings, value) per row of a table."""
+    rows = []
+    for line in (descriptors._DATA_DIR / filename).read_text().splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        _type, pattern, value = line.split("\t")[:3]
+        tokens = [] if pattern == "*" else [
+            tuple(tok.split("=", 1)) for tok in pattern.split(";")]
+        rows.append((tokens, float(value)))
+    return rows
+
+
 def _linear_contribution(rows, env):
     """Reference: the value of the first matching row in file order."""
     for tokens, value in rows:
-        if descriptors._pattern_matches(tokens, env):
+        if _reference_matches(tokens, env):
             return value
     return None
 
@@ -230,27 +333,71 @@ def _memo_key(env):
             env.neighbors)
 
 
-def test_indexed_tables_match_linear_scan():
-    tables = [(descriptors._CRIPPEN,
-               descriptors._read_param_rows(descriptors._CRIPPEN)),
-              (descriptors._TPSA,
-               descriptors._read_param_rows(descriptors._TPSA))]
-    memo = descriptors._match_contribution
-    seen = 0
+def _synthetic_envs():
+    """Atoms with two neighbours drawn from aromatic and aliphatic C, N, O
+    and H over every bond kind: an aromatic partner of a double or triple
+    bond, which no bundled molecule has, among them."""
+    pool = [(element, aromatic, ch) for element in ("C", "N", "O", "H")
+            for aromatic in (False, True) for ch in "sdta"]
+    centers = [("C", False, 2), ("C", True, 0), ("N", False, 1),
+               ("N", True, 0), ("O", False, 0), ("S", False, 0), ("H", False, 0)]
+    for i, first in enumerate(pool):
+        for second in pool[i:]:
+            neighbors = (first, second)
+            bonds = "".join(sorted((ch for *_, ch in neighbors),
+                                   key=descriptors._BOND_SORT.__getitem__))
+            for element, aromatic, total_h in centers:
+                yield descriptors._AtomEnv(element, aromatic, total_h, 0, bonds,
+                                           False, 2, neighbors)
+
+
+def _bundled_envs():
     for mol in _bundled_molecules():
         for atom in mol.atoms:
-            env = _reference_atom_env(mol, atom.index)
-            for table, rows in tables:
-                expected = _linear_contribution(rows, env)
-                assert memo.__wrapped__(table, *_memo_key(env)) == expected
-                assert memo(table, *_memo_key(env)) == expected
-            h_env = descriptors._AtomEnv(
-                "H", False, 0, 0, "s", False, 1,
-                ((atom.element, atom.aromatic, "s"),))
-            assert memo(descriptors._CRIPPEN, *_memo_key(h_env)) \
-                == _linear_contribution(tables[0][1], h_env)
-            seen += 1
-    assert seen > 10_000
+            yield _reference_atom_env(mol, atom.index)
+            yield descriptors._AtomEnv("H", False, 0, 0, "s", False, 1,
+                                       ((atom.element, atom.aromatic, "s"),))
+
+
+def test_pattern_tests_match_reference_interpreter():
+    """Every row of both tables agrees with the if-chain reference on every
+    bundled atom, its hydrogens and the synthetic environments; the memo
+    returns the first matching row's value."""
+    memo = descriptors._match_contribution
+    tables = []
+    for table in (descriptors._CRIPPEN, descriptors._TPSA):
+        raw, loaded = _raw_rows(table), descriptors._read_param_rows(table)
+        assert [value for _, value in raw] == [value for _, value in loaded]
+        tables.append((table, raw, loaded))
+    # the tests read only the environment, so each distinct one is checked once
+    envs = dict.fromkeys(_bundled_envs())
+    assert len(envs) > 100
+    envs.update(dict.fromkeys(_synthetic_envs()))
+    first_matches = set()
+    for env in envs:
+        for table, raw, loaded in tables:
+            hits = [_reference_matches(tokens, env) for tokens, _ in raw]
+            assert [descriptors._pattern_matches(tokens, env)
+                    for tokens, _ in loaded] == hits, (table, env)
+            expected = _linear_contribution(raw, env)
+            assert memo.__wrapped__(table, *_memo_key(env)) == expected
+            assert memo(table, *_memo_key(env)) == expected
+            first_matches.add((table, hits.index(True) if any(hits) else -1))
+    assert len(first_matches) >= 60
+    assert len(first_matches) > 60
+
+
+def test_unknown_pattern_key_rejected_at_load(tmp_path, monkeypatch):
+    (tmp_path / descriptors._CRIPPEN).write_text(
+        "# header\nC1\tel=C;arom=0\t0.1\tok\nC2\tel=C;chgpos=1\t0.2\tbad\n")
+    monkeypatch.setattr(descriptors, "_DATA_DIR", tmp_path)
+    descriptors._read_param_rows.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="unknown pattern key 'chgpos'") as err:
+            descriptors._read_param_rows(descriptors._CRIPPEN)
+        assert f"{tmp_path / descriptors._CRIPPEN}:3:" in str(err.value)
+    finally:
+        descriptors._read_param_rows.cache_clear()
 
 
 def _reference_mol_logp(mol):

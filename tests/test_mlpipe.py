@@ -210,6 +210,13 @@ def test_featurize_uses_largest_component(tmp_path):
     assert X[0, 0] == 3.0
 
 
+def test_unknown_feature_is_named(tmp_path):
+    records = _separable_records(tmp_path)
+    for build in (featurize, train_forest):
+        with pytest.raises(KeyError, match="'NotADescriptorAtAll'"):
+            build(records, ["MolWt", "NotADescriptorAtAll"])
+
+
 # ---------------------------------------------------------------------------
 # forest
 # ---------------------------------------------------------------------------

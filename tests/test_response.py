@@ -1,10 +1,12 @@
 """Prompt specs, response grammar, and parser totality."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attrilens import response
 from attrilens.response import (
+    CLASSIFICATION,
     REGRESSION,
     AttributeClaim,
     PromptSpec,
@@ -226,3 +228,72 @@ def test_parser_total_on_arbitrary_text(text):
 def test_parser_total_on_bytes_decoded(raw):
     parsed = parse_response(raw.decode("latin-1"))
     assert isinstance(parsed.format_ok, bool)
+
+
+_TAGS = ("<think>", "</think>", "<name>", "</name>", "<answer>", "</answer>")
+_FILLERS = st.sampled_from(
+    ["", " ", "x", " LogP: promotes, TPSA ", " MolWt: inhibits ", "LogP: maybe",
+     " True ", "false.", " 2.5e1 ", " -.5 ", ",", ":", "<", "/>"]
+)
+
+
+@st.composite
+def _tag_strings(draw):
+    """The six tags in order, then swapped, duplicated and dropped at
+    random, with fillers between them."""
+    order = list(range(len(_TAGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["swap", "duplicate", "drop"]))
+        if not order:
+            break
+        i = draw(st.integers(0, len(order) - 1))
+        j = draw(st.integers(0, len(order) - 1))
+        if edit == "swap":
+            order[i], order[j] = order[j], order[i]
+        elif edit == "duplicate":
+            order.insert(j, order[i])
+        else:
+            del order[i]
+    fillers = draw(st.lists(_FILLERS, min_size=len(order) + 1,
+                            max_size=len(order) + 1))
+    return "".join(f + _TAGS[k] for f, k in zip(fillers, order)) + fillers[-1]
+
+
+def _reference_format_ok(text, task):
+    """Reference: the format predicate with every order clause spelled out,
+    reading the tags' counts and positions with ``str.find``."""
+
+    def extract(tag):
+        open_tag, close_tag = f"<{tag}>", f"</{tag}>"
+        start = text.find(open_tag)
+        end = text.find(close_tag, start + len(open_tag)) if start >= 0 else -1
+        content = text[start + len(open_tag):end] if end >= 0 else None
+        return content, text.count(open_tag), text.count(close_tag), start
+
+    think, t_open, t_close, t_pos = extract("think")
+    name_raw, n_open, n_close, n_pos = extract("name")
+    answer_raw, a_open, a_close, a_pos = extract("answer")
+    claims_ok = name_raw is not None and parse_claims(name_raw)[1]
+    answer = response._parse_answer(answer_raw, task)
+    return bool(
+        t_open == 1 and t_close == 1 and think is not None
+        and n_open == 1 and n_close == 1 and name_raw is not None
+        and a_open == 1 and a_close == 1 and answer_raw is not None
+        and claims_ok
+        and answer is not None
+        and text.find("</think>") < n_pos
+        and text.find("</name>") < a_pos
+        and t_pos < text.find("</think>")
+        and n_pos < text.find("</name>")
+        and a_pos < text.find("</answer>")
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_tag_strings())
+@example("<think> a </think><name> LogP: promotes </name><answer> 2.5 </answer>")
+@example("<think> a </think><name></name><answer> True </answer>")
+def test_format_ok_matches_reference_predicate(text):
+    for task in (CLASSIFICATION, REGRESSION):
+        assert parse_response(text, task).format_ok \
+            is _reference_format_ok(text, task), (text, task)
