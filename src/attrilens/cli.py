@@ -31,6 +31,7 @@ from .descriptors import Unimplemented, compute, registry, resolve_attribute
 from .molgraph import SmilesError, parse_smiles
 from .response import CLASSIFICATION, REGRESSION, parse_response
 from .rewards import (
+    REWARD_COMPONENTS,
     ParseError,
     TableMissing,
     UnknownDescriptor,
@@ -187,7 +188,7 @@ def cmd_score(args) -> int:
     # Records that share a SMILES (the G responses of a group) share one
     # Molecule and its descriptor cache. The memo lives for this call only.
     parse = functools.lru_cache(maxsize=64)(parse_smiles)
-    sums = [0.0] * 5
+    sums = [0.0] * len(REWARD_COMPONENTS)
     held = io.StringIO()  # stdout rows wait until every record has scored
     with (_atomic_output(args.out) if args.out
           else contextlib.nullcontext(held)) as out:
@@ -203,19 +204,8 @@ def cmd_score(args) -> int:
                 parsed, mol, rec["label"], rec["target"], table,
                 count_bounds=bounds, task=rec["task"],
             )
-            sums = [s + v for s, v in zip(sums, (
-                bd.format, bd.correct, bd.count, bd.rational, bd.total))]
-            row = {
-                "id": rec.get("id", f"line-{lineno}"),
-                "format": bd.format,
-                "correct": bd.correct,
-                "count": bd.count,
-                "rational": bd.rational,
-                "total": bd.total,
-                "n_att": bd.n_att,
-                "verified": bd.verified,
-                "matched": bd.matched,
-            }
+            sums = [s + v for s, v in zip(sums, bd.components)]
+            row = {"id": rec.get("id", f"line-{lineno}"), **vars(bd)}
             if args.format == "json":
                 print(json.dumps(row), file=out)
             else:
@@ -226,16 +216,8 @@ def cmd_score(args) -> int:
                     file=out,
                 )
         means = [s / len(records) for s in sums]
-        summary = {
-            "summary": {
-                "n": len(records),
-                "format": means[0],
-                "correct": means[1],
-                "count": means[2],
-                "rational": means[3],
-                "total": means[4],
-            }
-        }
+        summary = {"summary": {"n": len(records),
+                               **dict(zip(REWARD_COMPONENTS, means))}}
         if args.format == "json":
             print(json.dumps(summary), file=out)
         else:

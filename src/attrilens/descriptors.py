@@ -16,6 +16,7 @@ below the floor is no match, which callers receive as ``None``.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -218,28 +219,47 @@ def _partner(bond_ch: str):
     return test
 
 
-# One test per pattern key, called as test(env, value).
+def _parser(accepts, convert=str):
+    """A parser of a table value: ``convert(value)`` when ``accepts(value)``
+    holds, else ``ValueError``."""
+    def parse(value: str):
+        if not accepts(value):
+            raise ValueError(value)
+        return convert(value)
+    return parse
+
+
+# Parsers of the values a table may give a pattern key.
+_INT = _parser(re.compile(r"-?[0-9]+").fullmatch, int)
+_BIT = _parser({"0", "1"}.__contains__, int)
+_ELEMENT = _parser(ATOMIC_MASSES.__contains__)
+_PARTNER = _parser({"none", "any", "C", "X"}.__contains__)
+_CLASS = _parser({*_NEIGHBOR_CLASSES, *ATOMIC_MASSES}.__contains__)
+_BONDS = _parser(re.compile("s*d*t*a*").fullmatch)  # a sorted bond multiset
+
+# Per pattern key: the parser of its value, and its test, called as
+# test(env, parsed value).
 _TESTS = {
-    "el": lambda env, v: env.element == v,
-    "arom": lambda env, v: env.aromatic == bool(v),
-    "h": lambda env, v: env.total_h == v,
-    "hmin": lambda env, v: env.total_h >= v,
-    "hmax": lambda env, v: env.total_h <= v,
-    "chg": lambda env, v: env.charge == v,
-    "chgneg": lambda env, v: env.charge < 0,
-    "bonds": lambda env, v: env.bonds == v,
-    "ring3": lambda env, v: env.ring3 == bool(v),
-    "degmin": lambda env, v: env.degree >= v,
-    "dbl": _partner("d"),
-    "tpl": _partner("t"),
-    "att": lambda env, v: _attached(env, v),
-    "noatt": lambda env, v: not _attached(env, v),
-    "satt": lambda env, v: _attached(env, v, single_only=True),
+    "el": (_ELEMENT, lambda env, v: env.element == v),
+    "arom": (_BIT, lambda env, v: env.aromatic == bool(v)),
+    "h": (_INT, lambda env, v: env.total_h == v),
+    "hmin": (_INT, lambda env, v: env.total_h >= v),
+    "hmax": (_INT, lambda env, v: env.total_h <= v),
+    "chg": (_INT, lambda env, v: env.charge == v),
+    "chgneg": (_BIT, lambda env, v: (env.charge < 0) == bool(v)),
+    "bonds": (_BONDS, lambda env, v: env.bonds == v),
+    "ring3": (_BIT, lambda env, v: env.ring3 == bool(v)),
+    "degmin": (_INT, lambda env, v: env.degree >= v),
+    "dbl": (_PARTNER, _partner("d")),
+    "tpl": (_PARTNER, _partner("t")),
+    "att": (_CLASS, lambda env, v: _attached(env, v)),
+    "noatt": (_CLASS, lambda env, v: not _attached(env, v)),
+    "satt": (_CLASS, lambda env, v: _attached(env, v, single_only=True)),
 }
 
 
 def _pattern_matches(tokens: _Tokens, env: _AtomEnv) -> bool:
-    return all(_TESTS[key](env, value) for key, value in tokens)
+    return all(_TESTS[key][1](env, value) for key, value in tokens)
 
 
 @functools.lru_cache(maxsize=2)
@@ -247,7 +267,8 @@ def _read_param_rows(filename: str) -> tuple[tuple[_Tokens, float], ...]:
     """(pattern tokens, contribution) per table row, in file order.
 
     The ``*`` pattern has no tokens, so it matches every atom. A key with
-    no test in :data:`_TESTS` is rejected here, naming the file and line.
+    no test in :data:`_TESTS`, or a value that the key's parser there
+    rejects, is rejected here, naming the file and line.
     """
     path = _DATA_DIR / filename
     rows = []
@@ -256,14 +277,19 @@ def _read_param_rows(filename: str) -> tuple[tuple[_Tokens, float], ...]:
             continue
         parts = line.split("\t")
         pattern, value = parts[1], float(parts[2])
-        tokens = () if pattern == "*" else tuple(
-            (key, int(val) if val.lstrip("-").isdigit() else val)
-            for key, val in (tok.split("=", 1) for tok in pattern.split(";"))
-        )
-        for key, _ in tokens:
+        tokens = []
+        for tok in ([] if pattern == "*" else pattern.split(";")):
+            key, sep, val = tok.partition("=")
             if key not in _TESTS:
                 raise ValueError(f"{path}:{lineno}: unknown pattern key {key!r}")
-        rows.append((tokens, value))
+            try:
+                if not sep:
+                    raise ValueError(tok)
+                tokens.append((key, _TESTS[key][0](val)))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {val!r} for "
+                                 f"pattern key {key!r}") from None
+        rows.append((tuple(tokens), value))
     return tuple(rows)
 
 

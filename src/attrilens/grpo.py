@@ -16,10 +16,12 @@ GRPO applies it per token (Shao et al. 2024, arXiv 2402.03300). A 1-D
 array of sequence log-probabilities is a group of one-factor responses.
 
 The math works along leading axes, one group per leading index: rewards
-and advantages are ``(..., G)``, log-probabilities ``(..., G, F)``. The
-:class:`TrajectoryGroup` functions (:func:`fill_advantages`,
-:func:`grpo_objective`, :func:`grpo_gradient`, :func:`dapo_filter`) are
-its one-group case.
+and advantages are ``(..., G)``, log-probabilities ``(..., G, F)``. One
+function, :func:`group_update`, gives every group's objective and the
+objective's gradient, the per-factor coefficients of the policy update,
+from one pass over the shared terms. The :class:`TrajectoryGroup`
+functions (:func:`fill_advantages`, :func:`grpo_objective`,
+:func:`grpo_gradient`, :func:`dapo_filter`) are its one-group case.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ __all__ = [
     "kl_estimate",
     "grpo_objective",
     "grpo_gradient",
-    "group_objectives",
-    "group_gradients",
+    "group_update",
     "dapo_filter",
 ]
 
@@ -190,96 +191,66 @@ def kl_estimate(logp_theta, logp_ref):
     return out
 
 
-def _surrogate_terms(
-    advantages, logp_new, logp_old, logp_ref, cfg: OptimConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared plumbing: (advantages, rho, surrogate, u); ``rho`` and the
-    surrogate per response, ``u`` per factor."""
-    adv = np.asarray(advantages, dtype=float)
-    new = np.asarray(logp_new, dtype=float)
-    old = np.asarray(logp_old, dtype=float)
-    ref = np.asarray(logp_ref, dtype=float)
+def group_update(advantages, logp_new, logp_old, logp_ref,
+                 cfg: OptimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per group: the objective and its gradient w.r.t. ``logp_new``.
+
+    The objective is the mean clipped surrogate minus the KL penalty,
+    ``(1/G) sum_i [ min(rho_i*A_i, clip(rho_i)*A_i) - beta*sum_f k3_if ]``
+    with ``rho_i = exp(sum_f (logp_new_if - logp_old_if))`` and ``k3_if``
+    the :func:`kl_estimate` of factor ``f``. Its gradient, in the shape of
+    ``logp_new``, is per factor ``(1/G) * [A_i * rho_i * active_i - beta *
+    (1 - u_if)]``, where ``active_i`` is 1 exactly when the unclipped branch
+    of the min is live (positive advantage and ratio at or below the upper
+    clip, or negative advantage and ratio at or above the lower clip), and
+    ``u_if = exp(logp_ref_if - logp_new_if)`` from the KL term. At a clip
+    boundary the unclipped subgradient is chosen.
+
+    ``advantages`` is ``(..., G)``, the log-probabilities ``(..., G, F)`` or
+    ``(..., G)``, and the objectives have the leading shape ``(...)``. Under
+    ``dapo`` the clip band is asymmetric and beta is zero.
+    """
+    adv, new, old, ref = (np.asarray(x, dtype=float) for x in
+                          (advantages, logp_new, logp_old, logp_ref))
     if not (adv.ndim >= 1 and new.shape[:adv.ndim] == adv.shape
             and new.shape == old.shape == ref.shape):
         raise ValueError("advantages and log-probabilities must share their "
                          "leading shape")
     rho = np.exp((new - old).reshape(adv.shape + (-1,)).sum(-1))
     lo, hi = cfg.clip_band
-    surr = np.minimum(rho * adv, np.clip(rho, lo, hi) * adv)
-    u = np.exp(ref - new)
-    return adv, rho, surr, u
-
-
-def group_objectives(advantages, logp_new, logp_old, logp_ref,
-                     cfg: OptimConfig) -> np.ndarray:
-    """Per group: the mean clipped surrogate minus the KL penalty.
-
-    ``(1/G) sum_i [ min(rho_i*A_i, clip(rho_i)*A_i) - beta*sum_f k3_if ]``
-    with ``rho_i = exp(sum_f (logp_new_if - logp_old_if))`` and ``k3_if``
-    the :func:`kl_estimate` of factor ``f``. ``advantages`` is ``(...,
-    G)``, the log-probabilities ``(..., G, F)`` or ``(..., G)``, and the
-    result has the leading shape ``(...)``. Under ``dapo`` the clip band is
-    asymmetric and beta is zero.
-    """
-    adv, _rho, surr, _u = _surrogate_terms(advantages, logp_new, logp_old,
-                                           logp_ref, cfg)
-    beta = cfg.effective_kl_beta
-    total = surr.sum(-1)
-    if beta != 0.0:
-        kl = kl_estimate(logp_new, logp_ref)
-        total = total - beta * kl.reshape(total.shape + (-1,)).sum(-1)
-    return total / adv.shape[-1]
-
-
-def group_gradients(advantages, logp_new, logp_old, logp_ref,
-                    cfg: OptimConfig) -> np.ndarray:
-    """Analytic gradient of :func:`group_objectives` w.r.t. ``logp_new``,
-    in its shape.
-
-    Per factor: ``(1/G) * [A_i * rho_i * active_i - beta * (1 - u_if)]``
-    where ``active_i`` is 1 exactly when the unclipped branch of the min
-    is live (positive advantage and ratio at or below the upper clip, or
-    negative advantage and ratio at or above the lower clip), and
-    ``u_if = exp(logp_ref_if - logp_new_if)`` from the KL term. At a clip
-    boundary the unclipped subgradient is chosen.
-    """
-    adv, rho, _surr, u = _surrogate_terms(advantages, logp_new, logp_old,
-                                          logp_ref, cfg)
-    lo, hi = cfg.clip_band
+    total = np.minimum(rho * adv, np.clip(rho, lo, hi) * adv).sum(-1)
     active = np.where(adv >= 0.0, rho <= hi, rho >= lo)
     grad = np.broadcast_to((adv * rho * active).reshape(
-        adv.shape + (1,) * (u.ndim - adv.ndim)), u.shape)
+        adv.shape + (1,) * (new.ndim - adv.ndim)), new.shape)
     beta = cfg.effective_kl_beta
     if beta != 0.0:
+        kl = kl_estimate(new, ref)
+        total = total - beta * kl.reshape(total.shape + (-1,)).sum(-1)
         # d/dlogp_new of (u - log u - 1) is (1 - u); the objective
         # subtracts beta times it.
-        grad = grad - beta * (1.0 - u)
-    return grad / adv.shape[-1]
+        grad = grad - beta * (1.0 - np.exp(ref - new))
+    return total / adv.shape[-1], grad / adv.shape[-1]
 
 
-def _group_terms(group: TrajectoryGroup):
-    """A group's (advantages, logp_old, logp_ref) arrays."""
+def _one_group(group: TrajectoryGroup, logp_new, cfg: OptimConfig):
     if group.advantages is None:
-        raise ValueError(
-            "group.advantages not computed; call fill_advantages first"
-        )
-    return group.advantages, group.logp_old(), group.logp_ref()
+        raise ValueError("group.advantages not computed; "
+                         "call fill_advantages first")
+    return group_update(group.advantages, logp_new, group.logp_old(),
+                        group.logp_ref(), cfg)
 
 
 def grpo_objective(group: TrajectoryGroup, logp_new, cfg: OptimConfig) -> float:
-    """:func:`group_objectives` of one group, whose advantages
+    """:func:`group_update`'s objective of one group, whose advantages
     :func:`fill_advantages` has stored."""
-    adv, old, ref = _group_terms(group)
-    return float(group_objectives(adv, logp_new, old, ref, cfg))
+    return float(_one_group(group, logp_new, cfg)[0])
 
 
-def grpo_gradient(
-    group: TrajectoryGroup, logp_new, cfg: OptimConfig
-) -> np.ndarray:
-    """:func:`group_gradients` of one group, whose advantages
+def grpo_gradient(group: TrajectoryGroup, logp_new,
+                  cfg: OptimConfig) -> np.ndarray:
+    """:func:`group_update`'s gradient of one group, whose advantages
     :func:`fill_advantages` has stored."""
-    adv, old, ref = _group_terms(group)
-    return group_gradients(adv, logp_new, old, ref, cfg)
+    return _one_group(group, logp_new, cfg)[1]
 
 
 def dapo_filter(groups: list[TrajectoryGroup]) -> list[TrajectoryGroup]:

@@ -47,7 +47,8 @@ from .response import (
     parse_response,
     render_response,
 )
-from .rewards import RangeTable, TableMissing, load_range_table, total_reward
+from .rewards import (REWARD_COMPONENTS, RangeTable, TableMissing,
+                      load_range_table, total_reward)
 
 __all__ = [
     "ConfigError",
@@ -573,7 +574,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingCurves:
-    """Per-step means of each reward component and the group objective."""
+    """Per step: its number, the mean of each of the
+    :data:`~attrilens.rewards.REWARD_COMPONENTS` and the group objective."""
 
     steps: list[int] = field(default_factory=list)
     format: list[float] = field(default_factory=list)
@@ -583,14 +585,12 @@ class TrainingCurves:
     total: list[float] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
 
-    def append(self, step, fmt, correct, count, rational, total, objective):
-        self.steps.append(step)
-        self.format.append(fmt)
-        self.correct.append(correct)
-        self.count.append(count)
-        self.rational.append(rational)
-        self.total.append(total)
-        self.objective.append(objective)
+    def append(self, *values) -> None:
+        """Append one step's values, one per field in field order; a wrong
+        number of values raises ``ValueError`` and appends none."""
+        for series, value in list(zip(vars(self).values(), values,
+                                      strict=True)):
+            series.append(value)
 
 
 def _train_step(config: TrainConfig, dataset: list[SimQuery],
@@ -608,7 +608,7 @@ def _train_step(config: TrainConfig, dataset: list[SimQuery],
     drawn = _draw(current, (np.random.default_rng(np.random.SeedSequence(
         [config.seed, step, qid])) for qid in range(Q)), G, range(Q))
 
-    rewards = np.empty((Q * G, 5))  # format, correct, count, rational, total
+    rewards = np.empty((Q * G, len(REWARD_COMPONENTS)))
     for row, action in enumerate(_actions(drawn)):
         query = dataset[row // G]
         parsed = parse_response(_render_action(action, vocab),
@@ -622,20 +622,19 @@ def _train_step(config: TrainConfig, dataset: list[SimQuery],
             count_bounds=config.count_bounds,
             task=query.prompt.task,
         )
-        rewards[row] = bd.format, bd.correct, bd.count, bd.rational, bd.total
+        rewards[row] = bd.components
     # each column from 0.0, row by row in sample order: numpy sums an
     # outer axis row by row, pairwise only along the inner one
     sums = rewards.sum(0, initial=0.0)
 
-    totals = rewards[:, 4].reshape(Q, G)
+    totals = rewards[:, REWARD_COMPONENTS.index("total")].reshape(Q, G)
     adv = grpo.compute_advantages(totals)
     live = _live_mass(current, drawn)
     logp = _factor_logp(current, drawn, live).reshape(Q, G, -1)
     logp_ref = logp if frozen is current else _factor_logp(
         frozen, drawn, _live_mass(frozen, drawn)).reshape(Q, G, -1)
     # on-policy single update: logp_new is logp_old
-    objectives = grpo.group_objectives(adv, logp, logp, logp_ref, cfg)
-    coeff = grpo.group_gradients(adv, logp, logp, logp_ref, cfg)
+    objectives, coeff = grpo.group_update(adv, logp, logp, logp_ref, cfg)
     kept = range(Q)
     if config.algorithm == "dapo":
         kept = np.flatnonzero(grpo.has_signal(totals)).tolist()
@@ -712,25 +711,10 @@ def train(
 
 
 def export_curves(curves: TrainingCurves, fh) -> None:
-    """Write the curves as CSV to the open text handle ``fh``:
-    step,format,correct,count,rational,total,objective."""
+    """Write the curves as CSV to the open text handle ``fh``: one column
+    per field of :class:`TrainingCurves`, in field order, the first headed
+    ``step``."""
     writer = csv.writer(fh)
-    writer.writerow(
-        ["step", "format", "correct", "count", "rational", "total",
-         "objective"]
-    )
-    for i, step in enumerate(curves.steps):
-        writer.writerow(
-            [int(step)]
-            + [
-                repr(float(series[i]))
-                for series in (
-                    curves.format,
-                    curves.correct,
-                    curves.count,
-                    curves.rational,
-                    curves.total,
-                    curves.objective,
-                )
-            ]
-        )
+    writer.writerow(["step", *list(vars(curves))[1:]])
+    for step, *values in zip(*vars(curves).values()):
+        writer.writerow([int(step), *(repr(float(v)) for v in values)])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,7 @@ __all__ = [
     "UnknownDescriptor",
     "TableMissing",
     "load_range_table",
+    "REWARD_COMPONENTS",
     "RewardBreakdown",
     "reward_format",
     "reward_correct",
@@ -169,6 +171,10 @@ def load_range_table(path_or_name: "str | Path") -> RangeTable:
 # ---------------------------------------------------------------------------
 
 
+# The four rewards and their sum, in the order every report lists them.
+REWARD_COMPONENTS = ("format", "correct", "count", "rational", "total")
+
+
 @dataclass(frozen=True)
 class RewardBreakdown:
     format: float
@@ -179,6 +185,10 @@ class RewardBreakdown:
     n_att: int
     verified: int   # verifiable claims (rationality denominator)
     matched: int    # verifiable claims whose polarity agreed
+
+    components = property(
+        operator.attrgetter(*REWARD_COMPONENTS),
+        doc="The values of :data:`REWARD_COMPONENTS`, in that order.")
 
 
 def reward_format(parsed: ParsedResponse) -> float:

@@ -42,6 +42,20 @@ def test_score_fixture_corpus_json(capsys):
     assert summary["format"] == pytest.approx(0.25)
 
 
+def test_score_json_layout(capsys):
+    """Row and summary keys, in order: the layout readers of the JSON see."""
+    code, out, _ = run(capsys, "score", str(data_path("case_studies.jsonl")))
+    assert code == 0
+    *rows, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(rows) == 12
+    for row in rows:
+        assert list(row) == ["id", "format", "correct", "count", "rational",
+                             "total", "n_att", "verified", "matched"]
+    assert list(summary) == ["summary"]
+    assert list(summary["summary"]) == ["n", "format", "correct", "count",
+                                        "rational", "total"]
+
+
 def test_score_both_tables_agree(capsys):
     corpus = str(data_path("case_studies.jsonl"))
     _, out_a, _ = run(capsys, "score", corpus, "--table", "gpt4o-default")

@@ -246,7 +246,7 @@ def _reference_matches(tokens, env):
             if env.charge != num:
                 return False
         elif key == "chgneg":
-            if not env.charge < 0:
+            if (env.charge < 0) != bool(num):
                 return False
         elif key == "bonds":
             if env.bonds != val:
@@ -388,16 +388,32 @@ def test_pattern_tests_match_reference_interpreter():
 
 
 def test_unknown_pattern_key_rejected_at_load(tmp_path, monkeypatch):
-    (tmp_path / descriptors._CRIPPEN).write_text(
-        "# header\nC1\tel=C;arom=0\t0.1\tok\nC2\tel=C;chgpos=1\t0.2\tbad\n")
     monkeypatch.setattr(descriptors, "_DATA_DIR", tmp_path)
-    descriptors._read_param_rows.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="unknown pattern key 'chgpos'") as err:
-            descriptors._read_param_rows(descriptors._CRIPPEN)
-        assert f"{tmp_path / descriptors._CRIPPEN}:3:" in str(err.value)
-    finally:
+    for pattern, message in [
+        ("el=C;chgpos=1", "unknown pattern key 'chgpos'"),
+        # each of these loaded and then raised TypeError, or matched nothing
+        ("el=C;hmin=two", "bad value 'two' for pattern key 'hmin'"),
+        ("el=C;dbl=N", "bad value 'N' for pattern key 'dbl'"),
+        ("el=C;att=x", "bad value 'x' for pattern key 'att'"),
+    ]:
+        (tmp_path / descriptors._CRIPPEN).write_text(
+            f"# header\nC1\tel=C;arom=0\t0.1\tok\nC2\t{pattern}\t0.2\tbad\n")
         descriptors._read_param_rows.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=message) as err:
+                descriptors._read_param_rows(descriptors._CRIPPEN)
+            assert f"{tmp_path / descriptors._CRIPPEN}:3:" in str(err.value)
+        finally:
+            descriptors._read_param_rows.cache_clear()
+
+
+def test_chgneg_reads_its_value():
+    anion = descriptors._AtomEnv("O", False, 0, -1, "s", False, 1,
+                                 (("C", False, "s"),))
+    for charge, negative in ((-1, True), (0, False), (1, False)):
+        env = anion._replace(charge=charge)
+        assert descriptors._pattern_matches((("chgneg", 1),), env) == negative
+        assert descriptors._pattern_matches((("chgneg", 0),), env) != negative
 
 
 def _reference_mol_logp(mol):

@@ -18,8 +18,7 @@ from attrilens.grpo import (
     fill_advantages,
     grpo_gradient,
     grpo_objective,
-    group_gradients,
-    group_objectives,
+    group_update,
     has_signal,
     kl_estimate,
 )
@@ -219,8 +218,7 @@ def test_batched_objective_and_gradient_rows_equal_group_calls(
     ref = old + rng.uniform(-0.5, 0.5, size=shape)
     cfg = OptimConfig(algorithm=algorithm)
     adv = compute_advantages(rewards)
-    objectives = group_objectives(adv, new, old, ref, cfg)
-    gradients = group_gradients(adv, new, old, ref, cfg)
+    objectives, gradients = group_update(adv, new, old, ref, cfg)
     assert objectives.shape == (n_groups,)
     assert gradients.shape == shape
     for q in range(n_groups):

@@ -1,5 +1,6 @@
 """Toy-policy simulator: factorized action distribution and training loop."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -16,6 +17,7 @@ from attrilens.policysim import (
     ConfigError,
     PolicyParams,
     TrainConfig,
+    TrainingCurves,
     _actions,
     _add_score,
     _draw,
@@ -31,7 +33,7 @@ from attrilens.policysim import (
     train,
 )
 from attrilens.response import CLASSIFICATION, PromptSpec, parse_response
-from attrilens.rewards import load_range_table, total_reward
+from attrilens.rewards import REWARD_COMPONENTS, load_range_table, total_reward
 
 
 def _random_policy(rng, n_attrs=3, max_count=2, n_queries=1):
@@ -797,8 +799,7 @@ def _poison_reference(monkeypatch):
                       np.full(np.shape(logp_ref), np.nan), cfg)
         return call
 
-    for name in ("group_objectives", "group_gradients"):
-        monkeypatch.setattr(grpo, name, poisoned(getattr(grpo, name)))
+    monkeypatch.setattr(grpo, "group_update", poisoned(grpo.group_update))
     return calls
 
 
@@ -814,7 +815,7 @@ def test_dapo_reads_no_reference_table(tiny_dataset, monkeypatch):
     calls = _poison_reference(monkeypatch)
     curves_nan, policy_nan = train(cfg, dataset=tiny_dataset)
     assert len(built) == 6
-    assert calls == ["group_objectives", "group_gradients"] * 3
+    assert calls == ["group_update"] * 3  # one call per step
     assert curves_nan == curves
     assert _score_bytes(policy_nan) == _score_bytes(policy)
     built.clear()
@@ -896,8 +897,24 @@ def test_export_curves_roundtrip(tmp_path, tiny_dataset):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,format,correct,count,rational,total,objective"
     assert len(lines) == 4
+    series = [curves.steps, curves.format, curves.correct, curves.count,
+              curves.rational, curves.total, curves.objective]
     for i, line in enumerate(lines[1:]):
         fields = line.split(",")
-        assert int(fields[0]) == i + 1
-        assert float(fields[5]) == curves.total[i]
-        assert float(fields[6]) == curves.objective[i]
+        assert len(fields) == len(series)
+        assert int(fields[0]) == i + 1 == curves.steps[i]
+        assert [float(f) for f in fields[1:]] == [s[i] for s in series[1:]]
+
+
+def test_curve_fields_are_the_reward_components():
+    names = [f.name for f in dataclasses.fields(TrainingCurves)]
+    assert names == ["steps", *REWARD_COMPONENTS, "objective"]
+
+
+@pytest.mark.parametrize("n_values", [6, 8])
+def test_curves_append_rejects_a_wrong_number_of_values(n_values):
+    curves = TrainingCurves()
+    curves.append(*range(7))
+    with pytest.raises(ValueError):
+        curves.append(*range(n_values))
+    assert curves == TrainingCurves(*[[i] for i in range(7)])
