@@ -393,6 +393,8 @@ def _default_features() -> list[str]:
 def cmd_dtree(args) -> int:
     from . import mlpipe
     started = time.time()
+    # the flags are checked before the CSV is read
+    cfg = mlpipe.ForestConfig(args.n_trees, args.max_depth, args.seed)
     schema = mlpipe.CsvSchema(args.smiles_col, args.label_col)
     loaded = mlpipe.load_csv(args.input, schema)
     train, valid, test = mlpipe.scaffold_split(loaded.records)
@@ -404,7 +406,6 @@ def cmd_dtree(args) -> int:
                 raise InputError(f"unknown or unimplemented feature {name!r}")
     else:
         names = _default_features()
-    cfg = mlpipe.ForestConfig(args.n_trees, args.max_depth, args.seed)
     model = mlpipe.train_forest(train, names, cfg)
     metrics = {
         "auc": mlpipe.eval_auc(model, test),

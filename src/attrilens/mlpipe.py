@@ -237,6 +237,8 @@ class ForestConfig:
     def __post_init__(self) -> None:
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -3,11 +3,13 @@
 The policy is a factorized categorical distribution over a finite response
 grammar, not a language model: a well-formedness bit, an attribute count,
 an ordered draw of distinct attribute names, a promotes/inhibits bit per
-drawn attribute, and a per-query true/false answer bit. Sampling renders a
-full textual response (deliberately malformed when the format bit is 0) so
-training exercises the production parser and rewards end to end. The point
-is to reproduce which reward components are learned quickly and which ones
-slowly -- not model quality.
+drawn attribute, and a per-query true/false answer bit. A response renders
+to text (one tag pair dropped when the format bit is 0), but training
+scores each drawn action through the reward stack from the
+``ParsedResponse`` built from the action itself, without the text; a test
+pins that response against ``parse_response`` of the rendered text. The
+point is to reproduce which reward components are learned quickly and
+which ones slowly -- not model quality.
 
 A training step's responses, G for each query, are drawn, scored and
 differentiated together, one row per response, in array operations: bits
@@ -43,8 +45,9 @@ from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
 from .response import (
     CLASSIFICATION,
+    AttributeClaim,
+    ParsedResponse,
     PromptSpec,
-    parse_response,
     render_response,
 )
 from .rewards import (REWARD_COMPONENTS, RangeTable, TableMissing,
@@ -445,6 +448,22 @@ def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
     )
 
 
+def _parsed_action(action: Action, vocab: tuple[str, ...]) -> ParsedResponse:
+    """What :func:`~attrilens.response.parse_response` reads from
+    :func:`_render_action`'s text, built from the action itself."""
+    claims = tuple(
+        AttributeClaim(vocab[i], "promotes" if bit else "inhibits")
+        for i, bit in zip(action.attrs, action.polarities)
+    )
+    omit = action.omit
+    return ParsedResponse(
+        think=None if omit == "think" else f" {_THINK_TEXT} ",
+        claims=None if omit == "name" else claims,
+        answer=None if omit == "answer" else action.answer,
+        format_ok=action.format_ok,
+    )
+
+
 def sample_response(
     policy: PolicyParams,
     prompt: PromptSpec,
@@ -551,6 +570,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         T = self.temperature
         # every factor is evaluated at logit/T, so 1/T must be finite too
         if not (math.isfinite(T) and T > 0 and math.isfinite(1.0 / T)):
@@ -611,10 +632,8 @@ def _train_step(config: TrainConfig, dataset: list[SimQuery],
     rewards = np.empty((Q * G, len(REWARD_COMPONENTS)))
     for row, action in enumerate(_actions(drawn)):
         query = dataset[row // G]
-        parsed = parse_response(_render_action(action, vocab),
-                                task=query.prompt.task)
         bd = total_reward(
-            parsed,
+            _parsed_action(action, vocab),
             query.molecule,
             query.label,
             query.prompt.target,
@@ -660,12 +679,13 @@ def train(
 
     Per step, each query draws ``G`` responses from its own RNG stream,
     seeded by ``(seed, step, query)``, so the draws do not depend on the
-    order of the queries. Every response is scored through the real
-    parser and reward stack, the rewards are normalized into advantages
-    within each query's group, and the groups are folded into one plain
-    gradient-ascent update averaged over surviving groups. The reference
-    policy for the KL pull is the initial parameter snapshot. Under
-    ``dapo`` zero-variance groups are dropped from the update (their
+    order of the queries. Every response is scored by the reward stack
+    from the parsed response built from its action (the fields that
+    parsing its rendered text gives), the rewards are normalized into
+    advantages within each query's group, and the groups are folded into
+    one plain gradient-ascent update averaged over surviving groups. The
+    reference policy for the KL pull is the initial parameter snapshot.
+    Under ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
     the policy actually emits).
 

@@ -466,6 +466,22 @@ def test_train_sim_bad_steps_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_train_sim_negative_seed_exit_3(capsys, tmp_path, spelling):
+    out = tmp_path / "c.csv"
+    argv = ["train-sim", "--steps", "1", "--out", str(out)]
+    if spelling == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed=-1\n")
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "seed" in err and "-1" in err
+    assert not out.exists()
+
+
 def test_train_sim_missing_dataset_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "train-sim", "--dataset", "/no/such.csv",
                      "--out", str(tmp_path / "c.csv"))
@@ -643,6 +659,20 @@ def test_dtree_unknown_feature_exit_2(capsys, tmp_path):
         "--features", "Voodoo", "--out", str(tmp_path / "m.json"),
     )
     assert code == 2
+
+
+def test_dtree_negative_seed_exit_3_before_reading(capsys, tmp_path,
+                                                  monkeypatch):
+    loads = []
+    monkeypatch.setattr(attrilens.mlpipe, "load_csv",
+                        lambda *a: loads.append(a))
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "dtree", str(data_path("bbbp_synthetic.csv")),
+                       "--seed", "-1", "--out", str(out))
+    assert code == 3
+    assert "seed" in err and "-1" in err
+    assert loads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dtree_degenerate_labels_exit_2(capsys, tmp_path):

@@ -287,6 +287,13 @@ def test_forest_save_load_roundtrip(tmp_path):
     assert back.feature_names == model.feature_names
 
 
+@pytest.mark.parametrize("kwargs", [{"n_trees": 0}, {"max_depth": 0},
+                                    {"seed": -1}])
+def test_forest_config_validation(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        ForestConfig(**kwargs)
+
+
 def test_load_forest_rejects_garbage(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a forest\n")

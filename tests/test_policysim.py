@@ -267,6 +267,46 @@ def test_sampled_text_parses_consistently_with_format_bit():
     assert seen[True] > 0 and seen[False] > 0
 
 
+def _assert_parsed_as_rendered(actions, vocab):
+    for action in actions:
+        text = policysim._render_action(action, vocab)
+        assert parse_response(text) == policysim._parsed_action(action,
+                                                                vocab), text
+
+
+def test_parsed_action_is_the_parse_of_its_text():
+    # every omit choice with its format bit, every count, all-promotes,
+    # all-inhibits and mixed polarities, both answers; the attributes
+    # rotate so that every vocabulary name is claimed
+    vocab = policysim._vocabulary(PolicyParams.zeros())
+    n, K = len(vocab), PolicyParams.zeros().max_count
+    formats = [(True, None)] + [(False, tag) for tag in
+                                ("think", "name", "answer")]
+    actions = []
+    for (fmt, omit), count, answer in itertools.product(
+            formats, range(K + 1), (False, True)):
+        attrs = tuple((count + t) % n for t in range(count))
+        for polarities in dict.fromkeys([(1,) * count, (0,) * count,
+                                         tuple(t % 2 for t in range(count))]):
+            actions.append(Action(fmt, omit, count, attrs, polarities,
+                                  answer))
+    assert len(actions) == 4 * 2 * (1 + 2 + 3 * (K - 1))
+    _assert_parsed_as_rendered(actions, vocab)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 6.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drawn_actions_parse_as_built(seed, scale):
+    # actions drawn by the training sampler, at logits from flat to
+    # nearly deterministic
+    rng = np.random.default_rng(seed)
+    policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=2)
+    policy.add_scaled(policy.copy(), scale - 1.0)
+    table = _Table(policy, 0.6)
+    group = _draw(table, [rng, np.random.default_rng(seed + 10)], 64, [0, 1])
+    _assert_parsed_as_rendered(_actions(group), policysim._vocabulary(policy))
+
+
 def test_format_logit_controls_malformedness():
     policy = PolicyParams.zeros()
     policy.logit_format = 8.0
@@ -680,6 +720,7 @@ def test_dataset_errors(tmp_path, content):
     "kwargs",
     [
         {"steps": 0},
+        {"seed": -1},
         {"temperature": 0.0},
         {"temperature": math.inf},
         {"temperature": math.nan},
@@ -752,6 +793,19 @@ def test_train_dapo_objective_vanishes(tiny_dataset):
         TrainConfig(steps=4, seed=5, algorithm="dapo"), dataset=tiny_dataset
     )
     assert all(abs(v) < 1e-9 for v in curves.objective)
+
+
+@pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
+def test_train_renders_no_text(tiny_dataset, monkeypatch, algorithm):
+    # a step builds each parsed response from its action; rendering one
+    # to text and parsing it back would fail here
+    def refuse(*args):
+        raise AssertionError("a training step rendered a response")
+
+    monkeypatch.setattr(policysim, "_render_action", refuse)
+    curves, _ = train(TrainConfig(steps=2, seed=7, algorithm=algorithm),
+                      dataset=tiny_dataset)
+    assert curves.steps == [1, 2]
 
 
 def test_train_rejects_mismatched_policy(tiny_dataset):
