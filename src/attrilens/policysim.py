@@ -5,11 +5,12 @@ grammar, not a language model: a well-formedness bit, an attribute count,
 an ordered draw of distinct attribute names, a promotes/inhibits bit per
 drawn attribute, and a per-query true/false answer bit. A response renders
 to text (one tag pair dropped when the format bit is 0), but training
-scores each drawn action through the reward stack from the
-``ParsedResponse`` built from the action itself, without the text; a test
-pins that response against ``parse_response`` of the rendered text. The
-point is to reproduce which reward components are learned quickly and
-which ones slowly -- not model quality.
+scores its drawn arrays without the text: a claim's verdict depends only
+on its query and attribute, so ``train`` asks the reward stack once per
+pair and a step scores every response from that table; tests pin each
+reward against ``total_reward`` of the parsed rendered text. The point is
+to reproduce which reward components are learned quickly and which ones
+slowly -- not model quality.
 
 A training step's responses, G for each query, are drawn, scored and
 differentiated together, one row per response, in array operations: bits
@@ -448,22 +449,6 @@ def _render_action(action: Action, vocab: tuple[str, ...]) -> str:
     )
 
 
-def _parsed_action(action: Action, vocab: tuple[str, ...]) -> ParsedResponse:
-    """What :func:`~attrilens.response.parse_response` reads from
-    :func:`_render_action`'s text, built from the action itself."""
-    claims = tuple(
-        AttributeClaim(vocab[i], "promotes" if bit else "inhibits")
-        for i, bit in zip(action.attrs, action.polarities)
-    )
-    omit = action.omit
-    return ParsedResponse(
-        think=None if omit == "think" else f" {_THINK_TEXT} ",
-        claims=None if omit == "name" else claims,
-        answer=None if omit == "answer" else action.answer,
-        format_ok=action.format_ok,
-    )
-
-
 def sample_response(
     policy: PolicyParams,
     prompt: PromptSpec,
@@ -614,8 +599,47 @@ class TrainingCurves:
             series.append(value)
 
 
-def _train_step(config: TrainConfig, dataset: list[SimQuery],
-                table: RangeTable, vocab: tuple[str, ...],
+def _claim_verdicts(dataset: list[SimQuery], table: RangeTable,
+                    vocab: tuple[str, ...]) -> np.ndarray:
+    """``verifiable, inside``: two ``(Q, n_attrs)`` bool arrays, the
+    ``verified`` and ``matched`` of :func:`total_reward` for query ``q``'s
+    one-claim response ``(vocab[j], "promotes")``. A claim's verdict
+    depends only on its query and attribute, so it holds for a run."""
+    return np.array([[(bd.verified, bd.matched) for bd in (total_reward(
+        ParsedResponse(None, (AttributeClaim(name, "promotes"),), None, False),
+        query.molecule, query.label, query.prompt.target, table)
+        for name in vocab)] for query in dataset], bool).transpose(2, 0, 1)
+
+
+def _step_rewards(config: TrainConfig, dataset: list[SimQuery], verdicts,
+                  drawn: _Group) -> np.ndarray:
+    """The :data:`~attrilens.rewards.REWARD_COMPONENTS` of the drawn rows,
+    ``G`` per query in query order, as :func:`total_reward` scores each
+    row's parsed response: an omitted tag pair hides the claims or the
+    answer, and a visible claim takes its query's and attribute's
+    :func:`_claim_verdicts`."""
+    verifiable, inside = verdicts
+    ok, polarity = drawn.bits[:, 0], drawn.bits[:, 2:]
+    attrs = drawn.order[:, :polarity.shape[1]]
+    query = np.arange(ok.size)[:, None] // (ok.size // len(dataset))
+    label = np.array([q.label for q in dataset])[query[:, 0]]
+    fmt = np.where(ok, 1.0, -2.0)
+    correct = np.where((ok | (drawn.omit != _TAG_NAMES.index("answer")))
+                       & (drawn.bits[:, 1] == label), 2.0, 0.0)
+    n_att = np.where(ok | (drawn.omit != _TAG_NAMES.index("name")),
+                     drawn.count, 0)
+    lo, hi = config.count_bounds
+    count = np.where((lo <= n_att) & (n_att <= hi), 0.0, -1.0)
+    visible = np.arange(attrs.shape[1]) < n_att[:, None]
+    verified = visible & verifiable[query, attrs]
+    matched = verified & (polarity == inside[query, attrs])
+    # a row with no verified claim has none matched either, and scores 0.0
+    rational = matched.sum(1) / np.maximum(verified.sum(1), 1)
+    return np.stack((fmt, correct, count, rational,
+                     fmt + correct + count + rational), axis=1)
+
+
+def _train_step(config: TrainConfig, dataset: list[SimQuery], verdicts,
                 policy: PolicyParams, reference: PolicyParams,
                 step: int) -> tuple[float, ...]:
     """One step of :func:`train`, one batch of ``Q * G`` rows: it updates
@@ -629,19 +653,7 @@ def _train_step(config: TrainConfig, dataset: list[SimQuery],
     drawn = _draw(current, (np.random.default_rng(np.random.SeedSequence(
         [config.seed, step, qid])) for qid in range(Q)), G, range(Q))
 
-    rewards = np.empty((Q * G, len(REWARD_COMPONENTS)))
-    for row, action in enumerate(_actions(drawn)):
-        query = dataset[row // G]
-        bd = total_reward(
-            _parsed_action(action, vocab),
-            query.molecule,
-            query.label,
-            query.prompt.target,
-            table,
-            count_bounds=config.count_bounds,
-            task=query.prompt.task,
-        )
-        rewards[row] = bd.components
+    rewards = _step_rewards(config, dataset, verdicts, drawn)
     # each column from 0.0, row by row in sample order: numpy sums an
     # outer axis row by row, pairwise only along the inner one
     sums = rewards.sum(0, initial=0.0)
@@ -679,11 +691,12 @@ def train(
 
     Per step, each query draws ``G`` responses from its own RNG stream,
     seeded by ``(seed, step, query)``, so the draws do not depend on the
-    order of the queries. Every response is scored by the reward stack
-    from the parsed response built from its action (the fields that
-    parsing its rendered text gives), the rewards are normalized into
-    advantages within each query's group, and the groups are folded into
-    one plain gradient-ascent update averaged over surviving groups. The
+    order of the queries. Every response is scored as the reward stack
+    scores the parse of its rendered text, in array operations, from the
+    stack's verdicts on each (query, attribute) claim, read once before
+    step 1; the rewards are normalized into advantages within each
+    query's group, and the groups are folded into one plain
+    gradient-ascent update averaged over surviving groups. The
     reference policy for the KL pull is the initial parameter snapshot.
     Under ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
@@ -721,12 +734,12 @@ def train(
         except TableMissing as exc:
             raise TableMissing(f"{config.dataset or 'dataset'}: row {row}: "
                                f"{exc}") from exc
-    vocab = _vocabulary(policy)
+    verdicts = _claim_verdicts(dataset, table, _vocabulary(policy))
     reference = policy.copy()
     curves = TrainingCurves()
     for step in range(1, config.steps + 1):
-        curves.append(step, *_train_step(config, dataset, table, vocab,
-                                         policy, reference, step))
+        curves.append(step, *_train_step(config, dataset, verdicts, policy,
+                                         reference, step))
     return curves, policy
 
 

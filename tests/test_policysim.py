@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attrilens import grpo, policysim
-from attrilens._data import data_path
+from attrilens._data import BUNDLED_RANGE_TABLES, data_path
 from attrilens.policysim import (
     Action,
     ConfigError,
@@ -33,7 +33,8 @@ from attrilens.policysim import (
     train,
 )
 from attrilens.response import CLASSIFICATION, PromptSpec, parse_response
-from attrilens.rewards import REWARD_COMPONENTS, load_range_table, total_reward
+from attrilens.rewards import (REWARD_COMPONENTS, RangeTable, load_range_table,
+                               total_reward)
 
 
 def _random_policy(rng, n_attrs=3, max_count=2, n_queries=1):
@@ -267,19 +268,47 @@ def test_sampled_text_parses_consistently_with_format_bit():
     assert seen[True] > 0 and seen[False] > 0
 
 
-def _assert_parsed_as_rendered(actions, vocab):
-    for action in actions:
+_COUNT_BOUNDS = [(3, 10), (0, 12), (5, 5), (0, 0)]
+
+
+def _range_tables():
+    """Both bundled tables and one with some descriptors removed, under
+    which some claims are unverifiable."""
+    bundled = [load_range_table(name) for name in BUNDLED_RANGE_TABLES]
+    removed = ("MolLogP", "TPSA", "RingCount")
+    partial = RangeTable({target: {name: ivs for name, ivs in rows.items()
+                                   if name not in removed}
+                          for target, rows in bundled[0].entries.items()},
+                         "partial")
+    return [*bundled, partial]
+
+
+def _assert_rows_scored_as_text(group, dataset, range_table, count_bounds):
+    """Each row of the step's reward array equals the components of
+    ``total_reward`` over the parse of the row's rendered text; the group
+    has the same number of rows for each query of ``dataset``."""
+    vocab = policysim._vocabulary(PolicyParams.zeros())
+    verdicts = policysim._claim_verdicts(dataset, range_table, vocab)
+    rewards = policysim._step_rewards(TrainConfig(count_bounds=count_bounds),
+                                      dataset, verdicts, group)
+    G = len(rewards) // len(dataset)
+    for row, action in enumerate(_actions(group)):
+        query = dataset[row // G]
         text = policysim._render_action(action, vocab)
-        assert parse_response(text) == policysim._parsed_action(action,
-                                                                vocab), text
+        bd = total_reward(parse_response(text), query.molecule, query.label,
+                          query.prompt.target, range_table,
+                          count_bounds=count_bounds)
+        assert rewards[row].tolist() == list(bd.components), text
+    return verdicts
 
 
-def test_parsed_action_is_the_parse_of_its_text():
+def test_given_actions_parse_as_built():
     # every omit choice with its format bit, every count, all-promotes,
     # all-inhibits and mixed polarities, both answers; the attributes
-    # rotate so that every vocabulary name is claimed
-    vocab = policysim._vocabulary(PolicyParams.zeros())
-    n, K = len(vocab), PolicyParams.zeros().max_count
+    # rotate so that every vocabulary name is claimed; each query label,
+    # range table and count band
+    policy = PolicyParams.zeros()
+    n, K = policy.n_attrs, policy.max_count
     formats = [(True, None)] + [(False, tag) for tag in
                                 ("think", "name", "answer")]
     actions = []
@@ -291,20 +320,34 @@ def test_parsed_action_is_the_parse_of_its_text():
             actions.append(Action(fmt, omit, count, attrs, polarities,
                                   answer))
     assert len(actions) == 4 * 2 * (1 + 2 + 3 * (K - 1))
-    _assert_parsed_as_rendered(actions, vocab)
+    group = _given(_Table(policy, 0.6), 0, actions)
+    toy = load_sim_dataset(data_path("toy_train.csv"))
+    unverifiable = []
+    for query, range_table, count_bounds in itertools.product(
+            (toy[0], toy[7]), _range_tables(), _COUNT_BOUNDS):
+        verifiable, _ = _assert_rows_scored_as_text(
+            group, [query], range_table, count_bounds)
+        unverifiable.append(not verifiable.all())
+    assert {toy[0].label, toy[7].label} == {True, False}
+    # only the partial table leaves claims unverifiable
+    assert unverifiable == ([False] * 8 + [True] * 4) * 2
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 6.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_drawn_actions_parse_as_built(seed, scale):
     # actions drawn by the training sampler, at logits from flat to
-    # nearly deterministic
+    # nearly deterministic, for a query of each label
     rng = np.random.default_rng(seed)
     policy = _random_policy(rng, n_attrs=14, max_count=12, n_queries=2)
     policy.add_scaled(policy.copy(), scale - 1.0)
     table = _Table(policy, 0.6)
     group = _draw(table, [rng, np.random.default_rng(seed + 10)], 64, [0, 1])
-    _assert_parsed_as_rendered(_actions(group), policysim._vocabulary(policy))
+    toy = load_sim_dataset(data_path("toy_train.csv"))
+    for range_table, count_bounds in itertools.product(_range_tables(),
+                                                       _COUNT_BOUNDS):
+        _assert_rows_scored_as_text(group, [toy[0], toy[7]], range_table,
+                                    count_bounds)
 
 
 def test_format_logit_controls_malformedness():
@@ -797,8 +840,8 @@ def test_train_dapo_objective_vanishes(tiny_dataset):
 
 @pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
 def test_train_renders_no_text(tiny_dataset, monkeypatch, algorithm):
-    # a step builds each parsed response from its action; rendering one
-    # to text and parsing it back would fail here
+    # a step scores each response from its drawn arrays; rendering one
+    # to text would fail here
     def refuse(*args):
         raise AssertionError("a training step rendered a response")
 
@@ -806,6 +849,30 @@ def test_train_renders_no_text(tiny_dataset, monkeypatch, algorithm):
     curves, _ = train(TrainConfig(steps=2, seed=7, algorithm=algorithm),
                       dataset=tiny_dataset)
     assert curves.steps == [1, 2]
+
+
+@pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
+def test_train_asks_the_reward_once_per_query_and_attribute(
+        tiny_dataset, monkeypatch, algorithm):
+    # the claim verdicts are read once, before step 1; no step calls the
+    # reward stack
+    calls, steps = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(len(steps))  # the number of steps begun so far
+        return total_reward(*args, **kwargs)
+
+    def counted_step(*args):
+        steps.append(args[-1])
+        return train_step(*args)
+
+    train_step = policysim._train_step
+    monkeypatch.setattr(policysim, "total_reward", counted)
+    monkeypatch.setattr(policysim, "_train_step", counted_step)
+    train(TrainConfig(steps=3, seed=7, algorithm=algorithm),
+          dataset=tiny_dataset)
+    assert steps == [1, 2, 3]
+    assert calls == [0] * (len(tiny_dataset) * PolicyParams.zeros().n_attrs)
 
 
 def test_train_rejects_mismatched_policy(tiny_dataset):
@@ -934,9 +1001,13 @@ def _per_query_train(config, dataset):
 @pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
 def test_batched_step_equals_per_query_loop(algorithm, group_size, queries):
     dataset = load_sim_dataset(data_path("toy_train.csv"))[:queries]
-    for seed, T in itertools.product((0, 5, 9), (0.6, 1.3)):
+    options = [{}]
+    if (group_size, queries) == (3, 12):
+        # one pair also runs a narrower count band under the other table
+        options.append({"count_bounds": (4, 6), "range_table": "r1-default"})
+    for seed, T, extra in itertools.product((0, 5, 9), (0.6, 1.3), options):
         config = TrainConfig(steps=5, group_size=group_size, temperature=T,
-                             seed=seed, algorithm=algorithm)
+                             seed=seed, algorithm=algorithm, **extra)
         curves, policy = train(config, dataset=dataset)
         want_curves, want_policy = _per_query_train(config, dataset)
         assert curves == want_curves
