@@ -13,11 +13,16 @@ the file holds the median and the quartiles; per run, its seed,
 a run that gave no result. It also records the git revision, whether the
 working tree differs from it, and the git tree ids of ``src`` and
 ``perfbench`` as measured, uncommitted changes to tracked files included
-(compare them with ``git rev-parse COMMIT:src``). Last come the CPU count,
+(compare them with ``git rev-parse COMMIT:src``), and the path of the
+repository root and its length in characters. Last come the CPU count,
 the Python and numpy versions, and the lines that
 ``scripts/output_hash.py`` prints. Two such files, written on the same
 machine before and after a change, compare the change's speed and show
 whether its outputs moved.
+
+``peak_rss_mb`` moves by a few 128 KB steps with the directory a run
+starts from, so the two sides of a comparison must run from repository
+roots whose paths have the same length, such as two sibling clones.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ def main(argv=None) -> int:
         "git_revision": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "source_trees": _source_trees(),
+        "root": str(ROOT),
+        "root_length": len(str(ROOT)),
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),

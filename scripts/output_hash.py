@@ -16,9 +16,13 @@
    printed as decimal text and averaged over a step, so they can hide a
    drift of a few ulps in the update; these lines do not.
 4. ``score-gpt4o`` and ``score-r1``: the stdout of ``score --format
-   json`` over ``case_studies.jsonl`` under each bundled range table: one
-   row per record and the summary line. No ``--out`` is given, so no
-   manifest (which holds the wall time) is written or hashed.
+   json`` under each bundled range table, over ``case_studies.jsonl`` and
+   then over ``TABLE_RECORDS``: one row per record and the summary line
+   of each run. Every case-study claim gets the same verdict under both
+   tables; the records of ``TABLE_RECORDS`` do not, so the two lines
+   differ, and a ``score`` that ignored ``--table`` would make them
+   equal. No ``--out`` is given, so no manifest (which holds the wall
+   time) is written or hashed.
 5. ``responses``: the ``parse_response`` fields (think, claims, answer,
    ``format_ok``) under both tasks for a fixed seeded set of strings: the
    six tags in order, then swapped, duplicated and dropped at random,
@@ -42,6 +46,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +70,21 @@ TAGS = ("<think>", "</think>", "<name>", "</name>", "<answer>", "</answer>")
 FILLERS = ("", " ", "x", " LogP: promotes, TPSA ", " MolWt: inhibits ",
            "LogP: maybe", " True ", "false.", " 2.5e1 ", " -.5 ", ",", ":",
            "<", "/>")
+# Claims whose verdict the two bundled tables give differently: three
+# halogens, three aromatic rings and a logP of 3.99 lie inside the
+# gpt4o-default intervals and outside the r1-default ones.
+TABLE_RECORDS = [
+    {"id": "table-halogens", "smiles": "FC(F)(F)c1ccccc1",
+     "task": "classification", "target": "BBBP", "label": True,
+     "response_text": "<think> Three fluorines on a small aromatic ring. "
+                      "</think>\n<name> NumHalogenAtoms: promotes, TPSA: "
+                      "promotes </name>\n<answer> True </answer>"},
+    {"id": "table-rings", "smiles": "c1ccc2cc3ccccc3cc2c1",
+     "task": "classification", "target": "BBBP", "label": True,
+     "response_text": "<think> A flat, lipophilic tricycle. </think>\n"
+                      "<name> NumAromaticRings: promotes, LogP: promotes "
+                      "</name>\n<answer> True </answer>"},
+]
 
 
 def bundled_smiles() -> list[str]:
@@ -128,15 +148,27 @@ def train_hashes(algorithm: str) -> tuple[str, str]:
             digest.hexdigest())
 
 
-def score_hash(table: str) -> str:
-    """The hash of ``score``'s JSON rows over the case studies."""
+def score_output(corpus: Path, table: str) -> str:
+    """The stdout of ``score --format json`` over one corpus."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["score", str(data_path("case_studies.jsonl")),
-                         "--table", table, "--format", "json"])
+        code = cli.main(["score", str(corpus), "--table", table,
+                         "--format", "json"])
     if code != 0:
-        raise SystemExit(f"score --table {table} exited {code}")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+        raise SystemExit(f"score {corpus} --table {table} exited {code}")
+    return out.getvalue()
+
+
+def score_hash(table: str) -> str:
+    """The hash of ``score``'s JSON rows over the case studies, then over
+    ``TABLE_RECORDS``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        records = Path(tmp) / "table_records.jsonl"
+        records.write_text("".join(json.dumps(r) + "\n"
+                                   for r in TABLE_RECORDS))
+        text = (score_output(data_path("case_studies.jsonl"), table)
+                + score_output(records, table))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def tag_strings():

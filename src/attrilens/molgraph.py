@@ -26,6 +26,7 @@ standing in for the delocalized pi bond.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -793,12 +794,10 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
     return sub
 
 
-def murcko_scaffold(mol: Molecule) -> Molecule:
-    """Ring-and-linker framework: terminal atoms pruned until none remain.
+def _murcko_alive(mol: Molecule) -> list[bool]:
+    """Which atoms survive pruning terminal non-ring atoms until none remain.
 
-    Exocyclic substituents -- including double-bonded terminal atoms -- count
-    as side chains and are removed.  A molecule without rings prunes down to
-    the empty scaffold.
+    Only non-ring atoms are pruned, so every ring atom and ring bond stays.
     """
     alive = [True] * len(mol.atoms)
     degree = [mol.degree(i) for i in range(len(mol.atoms))]
@@ -812,8 +811,62 @@ def murcko_scaffold(mol: Molecule) -> Molecule:
                 degree[j] -= 1
                 if degree[j] == 1 and not mol.atom_in_ring(j):
                     leaves.append(j)
-    keep = [i for i in range(len(mol.atoms)) if alive[i]]
-    return _subgraph(mol, keep)
+    return alive
+
+
+def murcko_scaffold(mol: Molecule) -> Molecule:
+    """Ring-and-linker framework: terminal atoms pruned until none remain.
+
+    Exocyclic substituents -- including double-bonded terminal atoms -- count
+    as side chains and are removed.  A molecule without rings prunes down to
+    the empty scaffold.  The result is a finished Molecule in its own right:
+    its rings are perceived, its bare atoms' hydrogens rederived and its
+    Kekule pass rerun, so pruning an S=O can turn a ring into thiophene.
+    ``molecule_key`` of it defines :func:`scaffold_key`.
+    """
+    alive = _murcko_alive(mol)
+    return _subgraph(mol, [i for i in range(len(mol.atoms)) if alive[i]])
+
+
+def _scaffold_may_aromatize(mol: Molecule, alive: list[bool]) -> bool:
+    """Whether the Kekule pass of ``murcko_scaffold(mol)`` could act.
+
+    ``_try_aromatize_ring`` passes a ring atom only if it is C, N, O or S,
+    uncharged, with no triple bond and at most one double bond, and is
+    aromatic, has that double bond, or is a heteroatom.  Counted over the
+    scaffold's bonds, that is an open atom.  Marking a ring aromatic only
+    turns bonds between its own (open) atoms aromatic and marks those
+    atoms aromatic, so it never closes an open atom nor opens a closed
+    one.  Whatever the ring basis and however many passes run, a ring can
+    then turn aromatic only if it is a cycle of open atoms with a bond not
+    yet aromatic: some such ring bond lies on a cycle of ring bonds
+    between open atoms.  The test counts no pi electrons, so it also
+    answers yes for rings the pass leaves as they are.
+    """
+    atoms, bonds, adj, bond_ring = mol.atoms, mol.bonds, mol._adj, mol._bond_ring
+    open_atoms = set()
+    for i, in_ring in enumerate(mol._atom_ring):
+        atom = atoms[i]
+        if not in_ring or atom.element not in _SP2_CAPABLE or atom.formal_charge:
+            continue
+        orders = [bonds[bi].order for j, bi in adj[i] if alive[j]]
+        doubles = orders.count("double")
+        if "triple" not in orders and doubles <= 1 and (
+                atom.aromatic or doubles or atom.element != "C"):
+            open_atoms.add(i)
+    for bi, bond in enumerate(bonds):
+        if (not bond_ring[bi] or bond.order == "aromatic"
+                or bond.a not in open_atoms or bond.b not in open_atoms):
+            continue
+        seen, queue = {bond.a}, [bond.a]
+        for i in queue:
+            for j, bj in adj[i]:
+                if j in open_atoms and j not in seen and bond_ring[bj] and bj != bi:
+                    if j == bond.b:
+                        return True
+                    seen.add(j)
+                    queue.append(j)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -823,44 +876,92 @@ def murcko_scaffold(mol: Molecule) -> Molecule:
 EMPTY_SCAFFOLD_KEY = "scaffold:acyclic"
 
 
-def molecule_key(mol: Molecule) -> str:
-    """Order-invariant structural key (Weisfeiler-Lehman style refinement).
+@functools.lru_cache(maxsize=1024)
+def _atom_label(element: str, aromatic: bool, charge: int, h: int,
+                degree: int) -> str:
+    """An atom's starting label in the key's refinement."""
+    return _h(f"{element}|{int(aromatic)}|{charge}|{h}|{degree}")
+
+
+def _wl_key(labels: list[str], nbrs: list[list[tuple[str, int]]],
+            edges: list[tuple[int, int, str]]) -> str:
+    """Hash of a graph given per atom its starting label and (bond code,
+    neighbour) pairs, and per bond its two atoms and code.
 
     Labels are refined until a round splits no class, for at most
     ``max(2, min(n, 16))`` rounds: later labels would be a fixed function
-    of the labels and bond codes that the key hashes.  Isomorphic graphs
-    always map to the same key; the converse holds for anything this
-    package meets in practice.  Stereochemistry is ignored.
+    of the labels and bond codes that the key hashes.
     """
-    n = len(mol.atoms)
+    n = len(labels)
     if n == 0:
         return EMPTY_SCAFFOLD_KEY
-    labels = [
-        _h(f"{a.element}|{int(a.aromatic)}|{a.formal_charge}|{a.total_h}|{mol.degree(a.index)}")
-        for a in mol.atoms
-    ]
-    nbrs = [[(mol.bonds[bi].order[0], j) for j, bi in mol._adj[i]] for i in range(n)]
     for _ in range(max(2, min(n, 16))):
-        sigs = [labels[i] + "".join(sorted(c + labels[j] for c, j in nbrs[i]))
-                for i in range(n)]
+        classes = len(set(labels))
+        sigs = [label + "".join(sorted([c + labels[j] for c, j in row]))
+                for label, row in zip(labels, nbrs)]
         hashed = {s: _h(s) for s in set(sigs)}
-        stable = len(hashed) == len(set(labels))
         labels = [hashed[s] for s in sigs]
-        if stable:
+        if len(hashed) == classes:
             break
-    edge_codes = sorted(
-        "".join(sorted((labels[b.a], labels[b.b]))) + b.order[0] for b in mol.bonds
-    )
+    edge_codes = sorted("".join(sorted((labels[a], labels[b]))) + c
+                        for a, b, c in edges)
     return _h("".join(sorted(labels)) + "|" + "".join(edge_codes))
+
+
+def molecule_key(mol: Molecule) -> str:
+    """Order-invariant structural key (Weisfeiler-Lehman style refinement).
+
+    Each atom starts from its element, aromaticity, charge, hydrogen count
+    and degree; each bond is coded by its order's first letter.  Isomorphic
+    graphs always map to the same key; the converse holds for anything this
+    package meets in practice.  Stereochemistry is ignored.
+    """
+    return _wl_key(
+        [_atom_label(a.element, a.aromatic, a.formal_charge, a.total_h,
+                     len(nbrs)) for a, nbrs in zip(mol.atoms, mol._adj)],
+        [[(mol.bonds[bi].order[0], j) for j, bi in nbrs] for nbrs in mol._adj],
+        [(b.a, b.b, b.order[0]) for b in mol.bonds])
 
 
 def scaffold_key(mol: Molecule) -> str:
     """Canonical key of the molecule's ring-and-linker framework.
 
+    The key is ``molecule_key(murcko_scaffold(mol))``, computed on ``mol``
+    itself without building the scaffold.  Pruning removes only non-ring
+    atoms, so ring membership and hence the scaffold's aromatic demotion
+    stay as in ``mol``.  Bare kept atoms get their hydrogens from the bonds
+    they keep, as ``_assign_implicit_h`` gives them; bracket atoms keep
+    theirs.  What pruning can change is the Kekule pass: in
+    ``C1=CS(=O)C=C1``, pruning the O leaves thiophene, which the scaffold's
+    pass aromatizes.  Whenever ``_scaffold_may_aromatize`` finds a ring
+    that pass could act on, on any ring basis the scaffold may perceive,
+    the key is taken from the built scaffold instead.
+
     Applying it to an already-extracted scaffold is a no-op (the framework
     of a framework is itself); acyclic input maps to the shared sentinel.
     """
-    return molecule_key(murcko_scaffold(mol))
+    alive = _murcko_alive(mol)
+    if _scaffold_may_aromatize(mol, alive):
+        return molecule_key(murcko_scaffold(mol))
+    atoms, bonds = mol.atoms, mol.bonds
+    keep = [i for i in range(len(atoms)) if alive[i]]
+    pos = dict(zip(keep, range(len(keep))))
+    initial, nbrs, edges = [], [], []
+    for new, old in enumerate(keep):
+        atom, row, order_sum = atoms[old], [], 0.0
+        for j, bi in mol._adj[old]:
+            if alive[j]:
+                order = bonds[bi].order
+                row.append((order[0], pos[j]))
+                order_sum += BOND_ORDER_VALUE[order]
+                if j > old:
+                    edges.append((new, pos[j], order[0]))
+        h = atom.explicit_h + (
+            0 if atom.bracket else _default_h(atom, len(row), order_sum))
+        initial.append(_atom_label(atom.element, atom.aromatic,
+                                   atom.formal_charge, h, len(row)))
+        nbrs.append(row)
+    return _wl_key(initial, nbrs, edges)
 
 
 def _h(s: str) -> str:

@@ -875,14 +875,143 @@ def _reference_scaffold_atoms(mol):
     return [i for i in range(len(mol.atoms)) if alive[i]]
 
 
-def test_scaffold_keeps_the_atoms_of_the_rescanning_prune(monkeypatch):
-    kept = []
-    monkeypatch.setattr(molgraph, "_subgraph",
-                        lambda mol, keep: kept.append(keep))
+def test_scaffold_keeps_the_atoms_of_the_rescanning_prune():
     for text in _bundled_smiles() + _LARGE_CASES + ["CCCO", "CCO.CC"]:
         mol = parse_smiles(text)
-        murcko_scaffold(mol)
-        assert kept.pop() == _reference_scaffold_atoms(mol), text
+        alive = molgraph._murcko_alive(mol)
+        kept = [i for i in range(len(mol.atoms)) if alive[i]]
+        assert kept == _reference_scaffold_atoms(mol), text
+        assert len(murcko_scaffold(mol)) == len(kept), text
+
+
+# Ring systems for drawn molecules.  ``<k>`` is a ring label, renamed at
+# each use.  ``{s}`` takes a single-bonded branch; ``{d}`` sits on an atom
+# with two single ring bonds and may also take a double-bonded one; ``{o}``
+# takes no, one or two S=O.  The first atom takes the bond from whatever
+# the system hangs on.
+_RING_SYSTEMS = [
+    "c<1>cc{s}cc{s}c<1>",                         # benzene
+    "c<1>cc{s}ncc<1>",                            # pyridine
+    "c<1>cc{s}sc<1>",                             # thiophene
+    "c<1>cc{s}[nH]c<1>",                          # pyrrole
+    "c<1>cc[n+]{s}cc<1>",                         # pyridinium
+    "c<1>cc{s}c<2>ccccc<2>c<1>",                  # naphthalene
+    "C<1>=CC{s}=CC=C<1>",                         # Kekule benzene
+    "C<1>=CC=C<2>C{s}=CC=CC<2>=C<1>",             # Kekule naphthalene
+    "C<1>=CC=C<2>C(=C<1>)C{s}=CN<2>",             # Kekule indole
+    "C<1>=CSC{s}=C<1>",                           # Kekule thiophene
+    "C<1>=CS{o}C=C<1>",                           # thiophene S-oxides
+    "C<1>=CC{d}C=CC<1>{d}",                       # cyclohexadienes, quinones
+    "C<1>=CC{d}NC=C<1>",                          # 4-pyridones
+    "C<1>=CC{d}OC=C<1>",                          # 4-pyranones
+    "C<1>=CC=CC{d}C=C<1>",                        # tropones
+    "C<1>=CC=CC<1>{d}",                           # fulvenes
+    "C<1>=CC=CC=CC{s}=C<1>",                      # cyclooctatetraene
+    "C<1>=Cc<2>ccc{s}cc<2>CC<1>",                 # dihydronaphthalene
+    "c<1>ccc<2>c(c<1>)-c<3>ccc{s}cc<3>-<2>",      # biphenylene
+    "C<1>CC{d}CC{d}C<1>",                         # cyclohexane
+    "C<1>CC<1>{d}",                               # cyclopropane
+    "C<1>CN{s}CC{d}C<1>",                         # piperidine
+    "[CH2]<1>C[NH2+]C{d}C<1>",                    # bracket ring atoms
+    "C<1>CC<2>(CC<2>)CC{d}C<1>",                  # spiro
+    "C<1>CC<2>CC{d}C<1>C<2>",                     # norbornane
+    "C<1>=CC<2>C=CC<1>C=C<2>",                    # barrelene: SSSR not unique
+    "C<1>C<2>CC<3>CC<1>CC(C<2>)C<3>",             # adamantane
+    "C<1><2>C<3>C<4>C<1>C<5>C<2>C<3>C<4><5>",     # cubane
+    "C<1><2>C<3>C<1>C<4>C<2>C<3><4>",             # prismane
+    "C<1>CCCCCCCC{d}CCC<1>",                      # 12-membered ring
+]
+_SINGLE_BRANCHES = ["(C)", "(O)", "(Cl)", "(C#N)", "(C(=O)O)", "([O-])",
+                    "([NH3+])", "(S(=O)(=O)C)", "([2H])", "([13CH3])"]
+_DOUBLE_BRANCHES = ["(=O)", "(=S)", "(=C)", "(=CC)", "(=N)"]
+_LINKERS = ["", "C", "CC", "C=C", "N", "C(=O)N", "OC"]
+_ACYCLIC = ["C", "CCO", "[Na+]", "Cl", "CC(=O)[O-]", "[NH4+]"]
+
+
+@st.composite
+def _drawn_smiles(draw):
+    """SMILES of one to three components built from ``_RING_SYSTEMS``,
+    with ring systems hung on ring atoms directly, through linkers, or
+    through a ``=C`` linker."""
+    labels = iter(range(10, 100))
+    budget = [6]  # ring systems left
+
+    def system():
+        budget[0] -= 1
+        text = draw(st.sampled_from(_RING_SYSTEMS))
+        for k in range(1, 6):
+            if f"<{k}>" in text:
+                text = text.replace(f"<{k}>", f"%{next(labels)}")
+        parts = text.replace("}", "{").split("{")
+        return "".join(slot(part) if i % 2 else part
+                       for i, part in enumerate(parts))
+
+    def slot(kind):
+        if kind == "o":
+            return draw(st.sampled_from(["", "(=O)", "(=O)(=O)"]))
+        choices = ["", "branch", "double", "system", "=system"]
+        choice = draw(st.sampled_from(choices[:2] + (
+            choices[2:3] if kind == "d" else []) + (
+            choices[3:] if budget[0] > 0 and kind == "d" else
+            choices[3:4] if budget[0] > 0 else [])))
+        if choice == "branch":
+            return draw(st.sampled_from(_SINGLE_BRANCHES))
+        if choice == "double":
+            return draw(st.sampled_from(_DOUBLE_BRANCHES))
+        if choice == "system":
+            return "(" + draw(st.sampled_from(_LINKERS)) + system() + ")"
+        if choice == "=system":
+            return "(=C" + system() + ")"
+        return ""
+
+    components = [system()]
+    for _ in range(draw(st.integers(0, 2))):
+        components.append(system() if budget[0] > 0 and draw(st.booleans())
+                          else draw(st.sampled_from(_ACYCLIC)))
+    return ".".join(components)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_drawn_smiles(), seed=st.integers(0, 2**32 - 1))
+@example(text="C1=CS(=O)C=C1", seed=0)
+@example(text="O=C1C=CC(=O)C=C1", seed=0)
+@example(text="O=S1(=O)C=CC=C1", seed=0)
+@example(text="C1CC1=CC2CC2", seed=0)
+def test_scaffold_key_is_the_key_of_the_built_scaffold(text, seed):
+    mol = parse_smiles(text)
+    rewrite = parse_smiles(write_smiles(mol, rng=np.random.default_rng(seed)))
+    for graph in (mol, rewrite):
+        assert scaffold_key(graph) == molecule_key(murcko_scaffold(graph))
+
+
+def test_scaffold_key_builds_the_scaffold_where_its_kekule_pass_may_act(
+        monkeypatch):
+    built = []
+    build = molgraph.murcko_scaffold
+    monkeypatch.setattr(molgraph, "murcko_scaffold",
+                        lambda mol: built.append(mol.source) or build(mol))
+    # Pruning the O leaves a thiophene, which the scaffold's Kekule pass
+    # aromatizes; the molecule's own ring is not aromatic.
+    traps = ["C1=CS(=O)C=C1", "O=S1(=O)C=CC=C1"]
+    for text in traps:
+        mol = parse_smiles(text)
+        assert not any(atom.aromatic for atom in mol.atoms)
+        assert all(atom.aromatic for atom in build(mol).atoms)
+        scaffold_key(mol)
+    # The rule counts no pi electrons: a ring of sp2 atoms with a bond not
+    # yet aromatic is built even where the pass would leave it as it is.
+    unchanged = ["C1=CC=CC=CC=C1", "c1ccc2c(c1)-c1ccccc1-2"]
+    for text in unchanged:
+        scaffold_key(parse_smiles(text))
+    assert built == traps + unchanged
+    built.clear()
+    # Substituted aromatic rings, and rings that lose an exocyclic double
+    # bond on a carbon, which then can join no aromatic ring.
+    for text in ["Cc1ccccc1", "OC(=O)c1ccc(Cl)cc1", "Oc1ccc2ccccc2c1",
+                 "O=c1cc[nH]cc1", "CC1=CC=CC=C1", "O=C1C=CC(=O)C=C1",
+                 "C=C1C=CC=C1", "C1CC1=CC2CC2", *_bundled_smiles()]:
+        scaffold_key(parse_smiles(text))
+    assert built == []
 
 
 def test_different_ring_systems_distinct_keys():
@@ -939,7 +1068,7 @@ _ROUND_3_PAIR = ("c1ccccc1C1CCCCCC(c2ccccc2)CCCCCCC1",
 _CAPPED = "c1ccccc1" + "C" * 40 + "C1CCCCC1"
 
 
-def test_early_stop_groups_like_fixed_round_reference(monkeypatch):
+def test_early_stop_groups_like_fixed_round_reference():
     mols = []
     for text in (_bundled_smiles() + list(SMILES_CORPUS)
                  + list(_ROUND_3_PAIR) + [_CAPPED]):
@@ -947,12 +1076,14 @@ def test_early_stop_groups_like_fixed_round_reference(monkeypatch):
         mols.append(mol)
         mols.append(parse_smiles(
             write_smiles(mol, rng=np.random.default_rng(len(mols)))))
-    ours = [(molecule_key(m), scaffold_key(m)) for m in mols]
-    monkeypatch.setattr(molgraph, "molecule_key", _reference_molecule_key)
-    ref = [(_reference_molecule_key(m), scaffold_key(m)) for m in mols]
+    scaffolds = [murcko_scaffold(m) for m in mols]
+    ours = [(molecule_key(m), molecule_key(s)) for m, s in zip(mols, scaffolds)]
+    ref = [(_reference_molecule_key(m), _reference_molecule_key(s))
+           for m, s in zip(mols, scaffolds)]
     for column in range(2):
         assert (_classes(k[column] for k in ours)
                 == _classes(k[column] for k in ref))
+    assert [scaffold_key(m) for m in mols] == [k for _, k in ours]
 
 
 def test_molecule_key_separates_a_pair_split_only_at_round_3():
