@@ -6,9 +6,9 @@ an ordered draw of distinct attribute names, a promotes/inhibits bit per
 drawn attribute, and a per-query true/false answer bit. A response renders
 to text (one tag pair dropped when the format bit is 0), but training
 scores its drawn arrays without the text: a claim's verdict depends only
-on its query and attribute, so ``train`` asks the reward stack once per
+on its query and attribute, so ``train`` asks ``claim_in_range`` once per
 pair and a step scores every response from that table; tests pin each
-reward against ``total_reward`` of the parsed rendered text. The point is
+reward against the breakdown of the parsed rendered text. The point is
 to reproduce which reward components are learned quickly and which ones
 slowly -- not model quality.
 
@@ -44,15 +44,9 @@ from . import grpo
 from ._data import ConfigError, open_text
 from .descriptors import implemented_names
 from .molgraph import Molecule, SmilesError, parse_smiles
-from .response import (
-    CLASSIFICATION,
-    AttributeClaim,
-    ParsedResponse,
-    PromptSpec,
-    render_response,
-)
+from .response import CLASSIFICATION, PromptSpec, render_response
 from .rewards import (REWARD_COMPONENTS, RangeTable, TableMissing,
-                      load_range_table, total_reward)
+                      claim_in_range, load_range_table)
 
 __all__ = [
     "ConfigError",
@@ -600,21 +594,29 @@ class TrainingCurves:
 
 
 def _claim_verdicts(dataset: list[SimQuery], table: RangeTable,
-                    vocab: tuple[str, ...]) -> np.ndarray:
-    """``verifiable, inside``: two ``(Q, n_attrs)`` bool arrays, the
-    ``verified`` and ``matched`` of :func:`total_reward` for query ``q``'s
-    one-claim response ``(vocab[j], "promotes")``. A claim's verdict
-    depends only on its query and attribute, so it holds for a run."""
-    return np.array([[(bd.verified, bd.matched) for bd in (total_reward(
-        ParsedResponse(None, (AttributeClaim(name, "promotes"),), None, False),
-        query.molecule, query.label, query.prompt.target, table)
-        for name in vocab)] for query in dataset], bool).transpose(2, 0, 1)
+                    vocab: tuple[str, ...],
+                    source: str | None = None) -> np.ndarray:
+    """``verifiable, inside``: two ``(Q, n_attrs)`` bool arrays, whether
+    :func:`claim_in_range` checks query ``q``'s claim of ``vocab[j]``, and
+    its verdict, which holds for a run. A target missing from ``table``
+    raises :class:`TableMissing` naming its row of ``source``."""
+    verdicts = np.zeros((2, len(dataset), len(vocab)), bool)
+    for row, query in enumerate(dataset, start=1):
+        try:
+            rows = table.rows(query.prompt.target)
+        except TableMissing as exc:
+            raise TableMissing(f"{source or 'dataset'}: row {row}: "
+                               f"{exc}") from exc
+        for j, name in enumerate(vocab):
+            inside = claim_in_range(name, query.molecule, rows)
+            verdicts[:, row - 1, j] = inside is not None, bool(inside)
+    return verdicts
 
 
 def _step_rewards(config: TrainConfig, dataset: list[SimQuery], verdicts,
                   drawn: _Group) -> np.ndarray:
     """The :data:`~attrilens.rewards.REWARD_COMPONENTS` of the drawn rows,
-    ``G`` per query in query order, as :func:`total_reward` scores each
+    ``G`` per query in query order, as the reward stack scores each
     row's parsed response: an omitted tag pair hides the claims or the
     answer, and a visible claim takes its query's and attribute's
     :func:`_claim_verdicts`."""
@@ -693,11 +695,12 @@ def train(
     seeded by ``(seed, step, query)``, so the draws do not depend on the
     order of the queries. Every response is scored as the reward stack
     scores the parse of its rendered text, in array operations, from the
-    stack's verdicts on each (query, attribute) claim, read once before
-    step 1; the rewards are normalized into advantages within each
-    query's group, and the groups are folded into one plain
-    gradient-ascent update averaged over surviving groups. The
-    reference policy for the KL pull is the initial parameter snapshot.
+    verdict on each (query, attribute) claim, read before step 1 in one
+    pass that also reports a target missing from ``table``; the rewards
+    are normalized into advantages within each query's group, and the
+    groups are folded into one plain gradient-ascent update averaged over
+    surviving groups. The reference policy for the KL pull is the initial
+    parameter snapshot.
     Under ``dapo`` zero-variance groups are dropped from the update (their
     samples still count toward the reported curves, which describe what
     the policy actually emits).
@@ -726,15 +729,8 @@ def train(
         )
     if any(q.prompt.task != CLASSIFICATION for q in dataset):
         raise ConfigError("the simulator supports classification prompts only")
-    # every response reads its target's rows, so a missing target is
-    # reported now, by row, rather than from inside step 1
-    for row, query in enumerate(dataset, start=1):
-        try:
-            table.rows(query.prompt.target)
-        except TableMissing as exc:
-            raise TableMissing(f"{config.dataset or 'dataset'}: row {row}: "
-                               f"{exc}") from exc
-    verdicts = _claim_verdicts(dataset, table, _vocabulary(policy))
+    verdicts = _claim_verdicts(dataset, table, _vocabulary(policy),
+                               config.dataset)
     reference = policy.copy()
     curves = TrainingCurves()
     for step in range(1, config.steps + 1):

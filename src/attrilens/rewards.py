@@ -13,9 +13,9 @@ Reward semantics (classification labels are booleans):
   agrees with the range table -- a claim "LogP: promotes" matches when the
   computed MolLogP falls inside the advantageous interval set for the
   target property. Claims are unverifiable (excluded from the
-  denominator) when they carry no polarity, fail to resolve, resolve to an
-  unimplemented descriptor, or have no table entry; a response with no
-  verifiable claims scores 0.
+  denominator) when they carry no polarity, or when
+  :func:`claim_in_range`, which the simulator also calls, cannot check
+  them; a response with no verifiable claims scores 0.
 
 The total is the plain sum, so it lives in [-3, +4].
 
@@ -52,11 +52,13 @@ __all__ = [
     "reward_correct",
     "reward_count",
     "reward_rational",
+    "claim_in_range",
     "total_reward",
     "DEFAULT_COUNT_BOUNDS",
 ]
 
 log = logging.getLogger(__name__)
+_SKIPPED = "claim %r: %s (descriptor %s), unverifiable"
 
 DEFAULT_COUNT_BOUNDS = (3, 10)
 
@@ -84,11 +86,6 @@ class Interval:
         above = x >= self.lo if self.lo_closed else x > self.lo
         below = x <= self.hi if self.hi_closed else x < self.hi
         return above and below
-
-    def __str__(self) -> str:
-        lo = "[" if self.lo_closed else "("
-        hi = "]" if self.hi_closed else ")"
-        return f"{lo}{self.lo:g}, {self.hi:g}{hi}"
 
 
 _NUMBER = r"[+-]?(?:inf|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -218,29 +215,35 @@ def reward_count(parsed: ParsedResponse, lo: int = 3, hi: int = 10) -> float:
     return 0.0 if lo <= n_att <= hi else -1.0
 
 
+def claim_in_range(raw_name: str, mol: Molecule, rows: dict) -> bool | None:
+    """Whether ``mol``'s value of the descriptor ``raw_name`` names lies in
+    its intervals in ``rows`` (one target's :meth:`RangeTable.rows`), or
+    ``None``, with a debug record of why, when the name does not resolve,
+    its descriptor is unimplemented or ``rows`` has no entry for it."""
+    ident = descriptors.resolve_attribute(raw_name)
+    if ident is None:
+        skip = "unresolved"
+    elif not ident.implemented:
+        skip = "unimplemented"
+    elif (ivs := rows.get(ident.name)) is None:
+        skip = "no table entry"
+    else:
+        value = descriptors.compute(mol, ident).value
+        return any(iv.contains(value) for iv in ivs)
+    log.debug(_SKIPPED, raw_name, skip, ident and ident.name)
+    return None
+
+
 def _rational_detail(parsed: ParsedResponse, mol: Molecule, target: str,
                      table: RangeTable) -> tuple[float, int, int]:
     rows = table.rows(target)
-    verified = 0
-    matched = 0
+    verified = matched = 0
     for claim in parsed.claims or ():
-        ident = None
         if claim.polarity is None:
-            skip = "no polarity"
-        elif (ident := descriptors.resolve_attribute(claim.raw_name)) is None:
-            skip = "unresolved"
-        elif not ident.implemented:
-            skip = "unimplemented"
-        elif (ivs := rows.get(ident.name)) is None:
-            skip = "no table entry"
-        else:
+            log.debug(_SKIPPED, claim.raw_name, "no polarity", None)
+        elif (inside := claim_in_range(claim.raw_name, mol, rows)) is not None:
             verified += 1
-            value = descriptors.compute(mol, ident).value
-            if (claim.polarity == "promotes") == any(iv.contains(value) for iv in ivs):
-                matched += 1
-            continue
-        log.debug("claim %r: %s (descriptor %s, target %s), unverifiable",
-                  claim.raw_name, skip, ident and ident.name, target)
+            matched += (claim.polarity == "promotes") == inside
     value = matched / verified if verified else 0.0
     return value, verified, matched
 

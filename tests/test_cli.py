@@ -8,11 +8,11 @@ from collections import Counter
 import pytest
 
 import attrilens
-from attrilens import cli
+from attrilens import cli, descriptors
 from attrilens._data import data_path
 from attrilens.cli import main
 from attrilens.molgraph import parse_smiles
-from attrilens.response import parse_response
+from attrilens.response import parse_response, render_response
 from attrilens.rewards import load_range_table, total_reward
 
 
@@ -315,6 +315,47 @@ def test_score_parses_each_adjacent_group_once_per_call(capsys, tmp_path,
     assert calls == Counter({s: 1 for s in smiles})
     assert run(capsys, "score", str(corpus))[0] == 0
     assert calls == Counter({s: 2 for s in smiles})
+
+
+def test_score_resolves_and_computes_at_most_once_per_claim(capsys, tmp_path,
+                                                          monkeypatch):
+    # a grouped corpus: each case study four times in a row, then once
+    # with a response that holds a claim of every kind; the traced score
+    # path's time grows with these call counts
+    with open(data_path("case_studies.jsonl")) as fh:
+        cases = [json.loads(line) for line in fh if line.strip()]
+    mixed = render_response("t", [
+        ("MolWt", "promotes"), ("Molecular Wieght", "inhibits"),
+        ("LogP", None), ("Quantum Vibes", "promotes"),
+        ("Molar Refractivity", "inhibits"), ("HBA", "promotes")], True)
+    records = [{**rec, "id": f"{rec['id']}-{i}"}
+               for rec in cases for i in range(4)]
+    records += [{**rec, "id": f"{rec['id']}-mixed", "response_text": mixed}
+                for rec in cases]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(descriptors, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("resolve_attribute", "compute"):
+        monkeypatch.setattr(descriptors, name, counting(name))
+    code, out, _ = run(capsys, "score", str(corpus))
+    assert code == 0
+    verified = sum(json.loads(line).get("verified", 0)
+                   for line in out.splitlines())
+    polar = sum(claim.polarity is not None for rec in records
+                for claim in parse_response(rec["response_text"]).claims
+                or ())
+    assert 0 < verified < polar
+    assert 0 < calls["resolve_attribute"] <= polar
+    assert 0 < calls["compute"] <= verified
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attrilens import grpo, policysim
+from attrilens import grpo, policysim, rewards
 from attrilens._data import BUNDLED_RANGE_TABLES, data_path
 from attrilens.policysim import (
     Action,
@@ -33,8 +33,8 @@ from attrilens.policysim import (
     train,
 )
 from attrilens.response import CLASSIFICATION, PromptSpec, parse_response
-from attrilens.rewards import (REWARD_COMPONENTS, RangeTable, load_range_table,
-                               total_reward)
+from attrilens.rewards import (REWARD_COMPONENTS, RangeTable, claim_in_range,
+                               load_range_table, total_reward)
 
 
 def _random_policy(rng, n_attrs=3, max_count=2, n_queries=1):
@@ -854,25 +854,33 @@ def test_train_renders_no_text(tiny_dataset, monkeypatch, algorithm):
 @pytest.mark.parametrize("algorithm", ["grpo", "dapo"])
 def test_train_asks_the_reward_once_per_query_and_attribute(
         tiny_dataset, monkeypatch, algorithm):
-    # the claim verdicts are read once, before step 1; no step calls the
-    # reward stack
+    # the claim verdicts are read once, before step 1, one check of each
+    # vocabulary name against each query's molecule, in query order; no
+    # step calls the reward stack, and train never builds a breakdown
     calls, steps = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(len(steps))  # the number of steps begun so far
-        return total_reward(*args, **kwargs)
+    def counted(name, mol, rows):
+        calls.append((len(steps), name, id(mol)))  # steps begun so far
+        return claim_in_range(name, mol, rows)
 
     def counted_step(*args):
         steps.append(args[-1])
         return train_step(*args)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("train called total_reward")
+
     train_step = policysim._train_step
-    monkeypatch.setattr(policysim, "total_reward", counted)
+    monkeypatch.setattr(policysim, "claim_in_range", counted)
     monkeypatch.setattr(policysim, "_train_step", counted_step)
+    monkeypatch.setattr(rewards, "total_reward", refuse)
+    assert not hasattr(policysim, "total_reward")
     train(TrainConfig(steps=3, seed=7, algorithm=algorithm),
           dataset=tiny_dataset)
     assert steps == [1, 2, 3]
-    assert calls == [0] * (len(tiny_dataset) * PolicyParams.zeros().n_attrs)
+    vocab = policysim._vocabulary(PolicyParams.zeros())
+    assert calls == [(0, name, id(query.molecule))
+                     for query in tiny_dataset for name in vocab]
 
 
 def test_train_rejects_mismatched_policy(tiny_dataset):

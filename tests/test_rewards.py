@@ -1,17 +1,25 @@
 """Reward components, range tables, and the combined breakdown."""
 
+import logging
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from attrilens._data import data_path
+from attrilens.descriptors import (implemented_names, registry,
+                                   resolve_attribute)
 from attrilens.molgraph import parse_smiles
-from attrilens.response import parse_response, render_response
+from attrilens.policysim import load_sim_dataset
+from attrilens.response import (AttributeClaim, ParsedResponse,
+                                parse_response, render_response)
 from attrilens.rewards import (
     Interval,
     ParseError,
     RangeTable,
     TableMissing,
     UnknownDescriptor,
+    claim_in_range,
     load_range_table,
     parse_interval_set,
     reward_correct,
@@ -263,6 +271,73 @@ def test_rational_computes_only_descriptors_with_rows(default_table):
     assert "MolWt" in mol.descriptor_cache
     # benzene's MolWt 78.1 lies outside [500, inf), so "inhibits" matches
     assert (bd.verified, bd.matched) == (base.verified, base.matched) == (1, 1)
+
+
+def test_claim_in_range_is_the_one_claim_breakdown(default_table, alt_table):
+    # oracle: the verdict read back from total_reward of a one-claim
+    # "promotes" response. The names are the simulator's vocabulary, then
+    # every registry name and alias (most of them unimplemented), then a
+    # misspelling and a name that resolves to nothing.
+    names = [*implemented_names(),
+             *(n for e in registry() for n in (e.name, *e.aliases)),
+             "Molecular Wieght", "Quantum Vibes"]
+    kinds = set()
+    for table in (default_table, alt_table):
+        for query in load_sim_dataset(data_path("toy_train.csv")):
+            mol, target = query.molecule, query.prompt.target
+            for name in names:
+                bd = total_reward(ParsedResponse(
+                    None, (AttributeClaim(name, "promotes"),), None, False),
+                    mol, query.label, target, table)
+                inside = claim_in_range(name, mol, table.rows(target))
+                assert (inside is not None, inside is True) == (
+                    bool(bd.verified), bool(bd.matched)), (name, target)
+                kinds.add(inside)
+    assert kinds == {None, False, True}
+
+
+def test_claim_in_range_reads_the_union_of_intervals():
+    # no bundled set is a union; benzene's MolWt 78.1 lies in the second
+    # interval only, and an alias resolves to the same row
+    mol = _benzene()
+    inside = {"MolWt": parse_interval_set("[0, 1], [70, 80)")}
+    outside = {"MolWt": parse_interval_set("[0, 1], (80, inf)")}
+    assert claim_in_range("MolWt", mol, inside) is True
+    assert claim_in_range("Molecular Weight", mol, outside) is False
+
+
+@pytest.mark.parametrize("name, target", [
+    ("Quantum Vibes", "BBBP"),       # resolves to nothing
+    ("Molar Refractivity", "BBBP"),  # resolves, not implemented
+    ("HBA", "BACE"),                 # no acceptor row for BACE
+])
+def test_claim_in_range_none_when_unverifiable(default_table, name, target):
+    mol = parse_smiles("CCCCCCCCCCCCCCCC")
+    assert claim_in_range(name, mol, default_table.rows(target)) is None
+    assert mol.descriptor_cache == {}
+
+
+def test_unverifiable_claims_log_their_reason(default_table, caplog):
+    parsed = _response([
+        ("MolWt", None),                 # no polarity
+        ("Quantum Vibes", "promotes"),   # resolves to nothing
+        ("Molar Refractivity", "inhibits"),  # resolves, not implemented
+        ("HBA", "promotes"),             # no acceptor row for BACE
+        ("MolWt", "promotes"),           # verified, so not logged
+    ])
+    caplog.set_level(logging.DEBUG, logger="attrilens.rewards")
+    bd = total_reward(parsed, _benzene(), True, "BACE", default_table)
+    assert (bd.verified, bd.matched) == (1, 0)
+    unimplemented = resolve_attribute("Molar Refractivity").name
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "attrilens.rewards"] == [
+        "claim 'MolWt': no polarity (descriptor None), unverifiable",
+        "claim 'Quantum Vibes': unresolved (descriptor None), unverifiable",
+        f"claim 'Molar Refractivity': unimplemented (descriptor "
+        f"{unimplemented}), unverifiable",
+        "claim 'HBA': no table entry (descriptor NumHAcceptors), "
+        "unverifiable",
+    ]
 
 
 # ---------------------------------------------------------------------------
