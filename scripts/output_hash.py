@@ -2,7 +2,8 @@
 """Print eight sha256 hashes that pin the package's outputs.
 
 1. ``molecules``: a dump of every SMILES in the bundled CSVs and case
-   studies, plus three seeded ``write_smiles`` rewrites of each. Per
+   studies, plus three seeded ``write_smiles`` rewrites of each (the
+   writer lives in ``tests/_reference.py``). Per
    molecule it holds the atom fields, the bonds, each atom's
    (neighbour, bond index) pairs, the rings and their bonds, ring
    membership as the public predicates report it, the 14 implemented
@@ -51,14 +52,17 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from attrilens import cli, policysim  # noqa: E402
 from attrilens._data import BUNDLED_RANGE_TABLES, data_dir, data_path  # noqa: E402
 from attrilens.descriptors import compute, implemented_names  # noqa: E402
-from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles  # noqa: E402
+from attrilens.molgraph import parse_smiles, scaffold_key  # noqa: E402
 from attrilens.response import (CLASSIFICATION, REGRESSION,  # noqa: E402
                                 parse_response)
+from _reference import write_smiles  # noqa: E402
 
 REWRITES = 3
 CURVE_STEPS = 40

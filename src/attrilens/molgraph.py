@@ -44,7 +44,6 @@ __all__ = [
     "murcko_scaffold",
     "molecule_key",
     "scaffold_key",
-    "write_smiles",
     "EMPTY_SCAFFOLD_KEY",
 ]
 
@@ -68,9 +67,6 @@ class UnknownElement(SmilesError):
 class ValenceError(SmilesError):
     """Explicit valence exceeds the maximum for a bare organic-subset atom."""
 
-
-# Elements that may be written without brackets.
-ORGANIC_SUBSET = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 
 # Elements allowed to carry the aromatic flag.
 AROMATIC_ELEMENTS = {"B", "C", "N", "O", "P", "S", "Se", "As"}
@@ -773,8 +769,11 @@ def _try_aromatize_ring(mol: Molecule, ring: tuple[int, ...],
 def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
     """The finished Molecule on the atoms ``keep``, renumbered in order.
 
-    Implicit hydrogens of bare atoms are rederived for the new bonding
-    environment; bracket atoms keep their declared counts.
+    Implicit hydrogens of bare atoms that lose a bond are rederived for the
+    new bonding environment.  An atom that loses no bond keeps the count
+    it was parsed with: rederiving it from the copied aromatic flag would
+    take the H off a Kekule-written pyrrole N.  Bracket atoms keep their
+    declared counts.
     """
     index_map = {old: new for new, old in enumerate(keep)}
     atoms = []
@@ -791,6 +790,9 @@ def _subgraph(mol: Molecule, keep: list[int]) -> Molecule:
     sub = Molecule(atoms, bonds, source=mol.source)
     sub._adj = tuple(map(tuple, adj))
     _finalize(sub)
+    for atom, old in zip(atoms, keep):
+        if len(sub._adj[atom.index]) == len(mol._adj[old]):
+            atom.implicit_h = mol.atoms[old].implicit_h
     return sub
 
 
@@ -929,13 +931,14 @@ def scaffold_key(mol: Molecule) -> str:
     The key is ``molecule_key(murcko_scaffold(mol))``, computed on ``mol``
     itself without building the scaffold.  Pruning removes only non-ring
     atoms, so ring membership and hence the scaffold's aromatic demotion
-    stay as in ``mol``.  Bare kept atoms get their hydrogens from the bonds
-    they keep, as ``_assign_implicit_h`` gives them; bracket atoms keep
-    theirs.  What pruning can change is the Kekule pass: in
-    ``C1=CS(=O)C=C1``, pruning the O leaves thiophene, which the scaffold's
-    pass aromatizes.  Whenever ``_scaffold_may_aromatize`` finds a ring
-    that pass could act on, on any ring basis the scaffold may perceive,
-    the key is taken from the built scaffold instead.
+    stay as in ``mol``.  Bare kept atoms that lose a bond get their
+    hydrogens from the bonds they keep, as ``_assign_implicit_h`` gives
+    them; every other atom keeps its own, as in ``_subgraph``.  What
+    pruning can change is the Kekule pass: in ``C1=CS(=O)C=C1``, pruning
+    the O leaves thiophene, which the scaffold's pass aromatizes.
+    Whenever ``_scaffold_may_aromatize`` finds a ring that pass could act
+    on, on any ring basis the scaffold may perceive, the key is taken from
+    the built scaffold instead.
 
     Applying it to an already-extracted scaffold is a no-op (the framework
     of a framework is itself); acyclic input maps to the shared sentinel.
@@ -956,8 +959,9 @@ def scaffold_key(mol: Molecule) -> str:
                 order_sum += BOND_ORDER_VALUE[order]
                 if j > old:
                     edges.append((new, pos[j], order[0]))
-        h = atom.explicit_h + (
-            0 if atom.bracket else _default_h(atom, len(row), order_sum))
+        h = atom.total_h
+        if not atom.bracket and len(row) < len(mol._adj[old]):
+            h = atom.explicit_h + _default_h(atom, len(row), order_sum)
         initial.append(_atom_label(atom.element, atom.aromatic,
                                    atom.formal_charge, h, len(row)))
         nbrs.append(row)
@@ -966,156 +970,3 @@ def scaffold_key(mol: Molecule) -> str:
 
 def _h(s: str) -> str:
     return hashlib.blake2s(s.encode(), digest_size=8).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Writing (non-canonical; used for permutation tests and debugging)
-# ---------------------------------------------------------------------------
-
-
-def write_smiles(mol: Molecule, rng=None, root: int | None = None) -> str:
-    """Emit SMILES for the graph, optionally with randomized traversal.
-
-    The output is valid but not canonical: passing a seeded ``rng``
-    (numpy Generator) shuffles branch order and the starting atom, which is
-    exactly what the atom-permutation invariance tests need.
-    """
-    if len(mol.atoms) == 0:
-        return ""
-    order = list(range(len(mol.atoms)))
-    if rng is not None:
-        rng.shuffle(order)
-    if root is not None:
-        order.remove(root)
-        order.insert(0, root)
-
-    order_sums = _order_sums(mol)
-    visited = [False] * len(mol.atoms)
-    ring_labels: dict[tuple[int, int], int] = {}
-    label_busy: dict[int, bool] = {}
-    pieces: list[str] = []
-
-    def free_label() -> int:
-        k = 1
-        while label_busy.get(k):
-            k += 1
-        label_busy[k] = True
-        return k
-
-    def bond_char(bond: Bond, from_arom: bool, to_arom: bool) -> str:
-        if bond.order == "single":
-            return "-" if (from_arom and to_arom) else ""
-        if bond.order == "aromatic":
-            return ""
-        return {"double": "=", "triple": "#"}[bond.order]
-
-    def atom_token(atom: Atom) -> str:
-        sym = atom.element
-        lower = sym.lower() if atom.aromatic else sym
-        if atom.aromatic and sym not in AROMATIC_ELEMENTS:
-            raise SmilesError(f"cannot write aromatic {sym}")
-        needs_bracket = (atom.bracket or atom.formal_charge != 0
-                         or atom.isotope is not None
-                         or sym not in ORGANIC_SUBSET
-                         # would a bare token rederive the hydrogen count?
-                         or _default_h(atom, mol.degree(atom.index),
-                                       order_sums[atom.index]) != atom.total_h)
-        if not needs_bracket:
-            return lower
-        parts = ["["]
-        if atom.isotope is not None:
-            parts.append(str(atom.isotope))
-        parts.append(lower if atom.aromatic else sym)
-        h = atom.total_h
-        if h == 1:
-            parts.append("H")
-        elif h > 1:
-            parts.append(f"H{h}")
-        c = atom.formal_charge
-        if c == 1:
-            parts.append("+")
-        elif c == -1:
-            parts.append("-")
-        elif c > 1:
-            parts.append(f"+{c}")
-        elif c < -1:
-            parts.append(f"-{-c}")
-        parts.append("]")
-        return "".join(parts)
-
-    # Pre-pass: find ring-closure bonds via DFS tree
-    closure_bonds: set[int] = set()
-    tree_children: dict[int, list[tuple[int, int]]] = {}
-    for start in order:
-        if visited[start]:
-            continue
-        stack = [(start, -1)]
-        visited[start] = True
-        while stack:
-            node, via = stack.pop()
-            nbrs = [(j, bi) for j, bi in mol._adj[node] if bi != via]
-            if rng is not None:
-                idx = list(range(len(nbrs)))
-                rng.shuffle(idx)
-                nbrs = [nbrs[k] for k in idx]
-            for j, bi in nbrs:
-                if visited[j]:
-                    if bi not in closure_bonds and bi != via:
-                        closure_bonds.add(bi)
-                else:
-                    visited[j] = True
-                    tree_children.setdefault(node, []).append((j, bi))
-                    stack.append((j, bi))
-
-    # The DFS above fixed the spanning structure; emit it in preorder from
-    # an explicit stack of atoms (ints) and literal text (strs).
-    emitted = [False] * len(mol.atoms)
-    closures_at: dict[int, list[int]] = {}
-    for bi in closure_bonds:
-        closures_at.setdefault(mol.bonds[bi].a, []).append(bi)
-        closures_at.setdefault(mol.bonds[bi].b, []).append(bi)
-    open_closures: dict[int, int] = {}  # bond index -> label
-
-    def emit_atom(node: int) -> None:
-        atom = mol.atoms[node]
-        pieces.append(atom_token(atom))
-        emitted[node] = True
-        for bi in closures_at.get(node, ()):  # ring closure digits
-            bond = mol.bonds[bi]
-            if bi in open_closures:
-                label = open_closures.pop(bi)
-                label_busy[label] = False
-                other = bond.other(node)
-                pieces.append(bond_char(bond, mol.atoms[other].aromatic, atom.aromatic))
-                pieces.append(str(label) if label < 10 else f"%{label:02d}")
-            else:
-                label = free_label()
-                open_closures[bi] = label
-                other = bond.other(node)
-                pieces.append(bond_char(bond, atom.aromatic, mol.atoms[other].aromatic))
-                pieces.append(str(label) if label < 10 else f"%{label:02d}")
-
-    for start in order:
-        if emitted[start]:
-            continue
-        if pieces:
-            pieces.append(".")
-        stack: list[int | str] = [start]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                pieces.append(item)
-                continue
-            emit_atom(item)
-            atom = mol.atoms[item]
-            children = tree_children.get(item, [])
-            todo: list[int | str] = []
-            for k, (child, bi) in enumerate(children):
-                bc = bond_char(mol.bonds[bi], atom.aromatic,
-                               mol.atoms[child].aromatic)
-                if k < len(children) - 1:
-                    todo += ["(" + bc, child, ")"]
-                else:
-                    todo += [bc, child]
-            stack.extend(reversed(todo))
-    return "".join(pieces)

@@ -208,18 +208,20 @@ class _Table:
         if K > n:
             raise ValueError(f"a count of up to {K} needs as many "
                              f"attributes, the policy has {n}")
-        self.p = p = _sigmoid(np.concatenate((
-            [policy.logit_format], policy.logits_polarity,
-            policy.logits_answer,
-        )) / T)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            bits = np.concatenate((
+                [policy.logit_format], policy.logits_polarity,
+                policy.logits_answer,
+            )) / T
+            z = policy.logits_count / T
+            self.attr_z = policy.logits_attr / T
+        self.p = p = _sigmoid(bits)
         if not ((p >= 0.0) & (p <= 1.0)).all():
             raise ValueError(_BAD_PROBABILITIES)
-        z = policy.logits_count / T
         m = z.max()  # NaN if any logit is NaN
         if not -np.inf < m < np.inf:
             raise ValueError(_BAD_PROBABILITIES)
         self.count_logp = z - (m + np.log(np.exp(z - m).sum()))
-        self.attr_z = policy.logits_attr / T
         if not (self.attr_z < np.inf).all():
             raise ValueError(_BAD_PROBABILITIES)
         with np.errstate(divide="ignore"):

@@ -36,7 +36,7 @@ from attrilens.mlpipe import (
     scaffold_split,
     train_forest,
 )
-from attrilens.molgraph import parse_smiles, scaffold_key, write_smiles
+from attrilens.molgraph import parse_smiles, scaffold_key
 from attrilens.policysim import TrainConfig, train
 from attrilens.response import (
     AttributeClaim,
@@ -50,6 +50,8 @@ from attrilens.rewards import (
     reward_format,
     total_reward,
 )
+
+from _reference import write_smiles
 
 
 # ===========================================================================

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from collections import Counter
 
 import pytest
@@ -491,7 +492,7 @@ def test_train_sim_bad_config_value_names_line(capsys, tmp_path, line):
     assert f"{cfg}:3:" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_sim_overflowing_temperature_exit_3(capsys, tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("temperature=1e-320\nsteps=3\n")
@@ -499,6 +500,19 @@ def test_train_sim_overflowing_temperature_exit_3(capsys, tmp_path):
                        "--out", str(tmp_path / "c.csv"))
     assert code == 3
     assert "temperature" in err
+
+
+def test_train_sim_overflowing_table_is_one_error_line(capsys, tmp_path):
+    # 1/1e-300 is finite, so the config passes; the first policy table's
+    # logit/T overflows and must be reported without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "train-sim", "--steps", "2",
+                           "--temperature", "1e-300",
+                           "--out", str(tmp_path / "c.csv"))
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: policy probabilities must be finite")
 
 
 def test_train_sim_bad_steps_exit_3(capsys, tmp_path):

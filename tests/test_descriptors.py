@@ -17,8 +17,9 @@ from attrilens.descriptors import (
     registry,
     resolve_attribute,
 )
-from attrilens.molgraph import SmilesError, parse_smiles, write_smiles
+from attrilens.molgraph import SmilesError, parse_smiles
 
+from _reference import write_smiles
 from conftest import SMILES_CORPUS
 
 

@@ -24,9 +24,9 @@ from attrilens.molgraph import (
     murcko_scaffold,
     parse_smiles,
     scaffold_key,
-    write_smiles,
 )
 
+from _reference import write_smiles
 from conftest import SMILES_CORPUS
 
 
@@ -977,11 +977,40 @@ def _drawn_smiles(draw):
 @example(text="O=C1C=CC(=O)C=C1", seed=0)
 @example(text="O=S1(=O)C=CC=C1", seed=0)
 @example(text="C1CC1=CC2CC2", seed=0)
+@example(text="CC1=CNC=C1", seed=0)  # Kekule pyrrole
+@example(text="CC1=CN=CN1", seed=0)  # Kekule imidazole
+@example(text="CN1C=CC=C1", seed=0)  # Kekule N-methylpyrrole
 def test_scaffold_key_is_the_key_of_the_built_scaffold(text, seed):
     mol = parse_smiles(text)
     rewrite = parse_smiles(write_smiles(mol, rng=np.random.default_rng(seed)))
     for graph in (mol, rewrite):
         assert scaffold_key(graph) == molecule_key(murcko_scaffold(graph))
+
+
+def test_largest_component_keeps_the_h_of_a_kekule_pyrrole_n():
+    # The N is aromatized after its H is assigned; the component must not
+    # rederive the H from the aromatic flag.
+    alone = parse_smiles("C1=CNC=C1")
+    part = parse_smiles("C1=CNC=C1.Cl").largest_component()
+    assert [a.total_h for a in part.atoms] == [1, 1, 1, 1, 1]
+    for name, value in [("MolWt", 67.091), ("NumHDonors", 1.0),
+                        ("TPSA", 15.79)]:
+        assert descriptors.compute(part, name).value == pytest.approx(value)
+        assert (descriptors.compute(part, name).value
+                == descriptors.compute(alone, name).value)
+
+
+@pytest.mark.parametrize("kekule, aromatic", [
+    ("CC1=CNC=C1", "Cc1cc[nH]c1"),
+    ("CC1=CN=CN1", "Cc1cnc[nH]1"),
+])
+def test_scaffold_key_of_a_kekule_nh_ring_matches_the_aromatic_form(
+        kekule, aromatic):
+    mol, same = parse_smiles(kekule), parse_smiles(aromatic)
+    assert molecule_key(mol) == molecule_key(same)
+    assert scaffold_key(mol) == scaffold_key(same)
+    assert (molecule_key(murcko_scaffold(mol))
+            == molecule_key(murcko_scaffold(same)))
 
 
 def test_scaffold_key_builds_the_scaffold_where_its_kekule_pass_may_act(

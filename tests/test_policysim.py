@@ -410,7 +410,7 @@ def test_count_above_vocabulary_raises_value_error():
         sample_response(policy, _prompt(), np.random.default_rng(0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_temperature_raises_value_error():
     policy = PolicyParams.zeros()
     policy.logits_count[0] = 1.0  # 1.0 / 1e-320 overflows to inf
